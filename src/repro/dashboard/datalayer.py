@@ -128,13 +128,17 @@ def filtered_query(
     spec: DashboardSpec,
     filters: list[Expression],
 ) -> Query:
-    """The visualization's query with active filters AND-ed in.
+    """The visualization's query with active filters AND-ed in."""
+    return with_filters(base_query(viz, spec), filters)
+
+
+def with_filters(query: Query, filters: list[Expression]) -> Query:
+    """``query`` with ``filters`` AND-ed into its WHERE clause.
 
     Filters are sorted by canonical text so the emitted SQL is stable
     regardless of the order widgets were touched — this keeps query
     logs deterministic and cache-friendly.
     """
-    query = base_query(viz, spec)
     if not filters:
         return query
     from repro.sql.formatter import format_expression

@@ -30,6 +30,10 @@ class DashboardGraph:
                 self.graph.add_edge(widget.id, target, kind="filter")
         for link in spec.interface.links:
             self.graph.add_edge(link.source, link.target, kind="crossfilter")
+        # The graph is fixed once built (interface manipulations build a
+        # new DashboardGraph), so each reachability walk is done once.
+        self._reachable: dict[str, list[str]] = {}
+        self._influencers: dict[str, list[str]] = {}
 
     # -- structure queries -----------------------------------------------------
 
@@ -62,20 +66,27 @@ class DashboardGraph:
         source (excluding the source itself for widgets; a selectable
         visualization does not filter itself either).
         """
-        if source_id not in self.graph:
-            raise SpecificationError(f"unknown component {source_id!r}")
-        reachable = nx.descendants(self.graph, source_id)
-        return sorted(
-            n
-            for n in reachable
-            if self.graph.nodes[n]["kind"] == "visualization"
-        )
+        reachable = self._reachable.get(source_id)
+        if reachable is None:
+            if source_id not in self.graph:
+                raise SpecificationError(f"unknown component {source_id!r}")
+            reachable = self._reachable[source_id] = sorted(
+                n
+                for n in nx.descendants(self.graph, source_id)
+                if self.graph.nodes[n]["kind"] == "visualization"
+            )
+        return list(reachable)
 
     def influencers(self, viz_id: str) -> list[str]:
         """Components whose state filters ``viz_id`` (reverse reachability)."""
-        if viz_id not in self.graph:
-            raise SpecificationError(f"unknown component {viz_id!r}")
-        return sorted(nx.ancestors(self.graph, viz_id))
+        influencers = self._influencers.get(viz_id)
+        if influencers is None:
+            if viz_id not in self.graph:
+                raise SpecificationError(f"unknown component {viz_id!r}")
+            influencers = self._influencers[viz_id] = sorted(
+                nx.ancestors(self.graph, viz_id)
+            )
+        return list(influencers)
 
     def out_degree_stats(self) -> dict[str, float]:
         """Link-density statistics (used in the Figure 9 analysis)."""

@@ -21,12 +21,17 @@ from repro.dashboard.components import (
     VisualizationRuntime,
     WidgetRuntime,
 )
-from repro.dashboard.datalayer import build_refresh, filtered_query
+from repro.dashboard.datalayer import base_query, build_refresh, with_filters
 from repro.dashboard.graph import DashboardGraph
 from repro.dashboard.spec import DashboardSpec
 from repro.engine.table import Table
 from repro.errors import InteractionError
 from repro.sql.ast import Expression, Query
+
+
+#: Entries the query table of one dashboard may hold before it starts
+#: over, so a long-lived session's table stays a few megabytes.
+QUERY_MEMO_LIMIT = 4096
 
 
 class InteractionKind(Enum):
@@ -101,6 +106,16 @@ class DashboardState:
         self.viz_selection: dict[str, frozenset[tuple[str, object]]] = {
             v_id: frozenset() for v_id in self.visualizations
         }
+        self._reset_query_tables()
+
+    def _reset_query_tables(self) -> None:
+        """Give this state empty query tables of its own.
+
+        New dicts rather than ``clear()``: clones made before an
+        interface manipulation keep the old spec and the old tables.
+        """
+        self._base_queries: dict[str, Query] = {}
+        self._queries: dict[tuple, Query] = {}
 
     # -- copying (for planner lookahead) ---------------------------------------
 
@@ -113,6 +128,8 @@ class DashboardState:
         clone.visualizations = self.visualizations
         clone.widget_state = dict(self.widget_state)
         clone.viz_selection = dict(self.viz_selection)
+        clone._base_queries = self._base_queries
+        clone._queries = self._queries
         return clone
 
     def state_key(self) -> tuple:
@@ -150,11 +167,34 @@ class DashboardState:
         return filters
 
     def query_for(self, viz_id: str) -> Query:
-        """The SQL query currently backing one visualization."""
-        runtime = self.visualizations[viz_id]
-        return filtered_query(
-            runtime.spec, self.spec, self.filters_for(viz_id)
+        """The SQL query currently backing one visualization.
+
+        It depends only on the visualization and the state of its
+        influencers, so it is built once per such combination and kept
+        in a table this state shares with its :meth:`copy` clones: the
+        candidate states a planner expands step after step get the
+        same ``Query`` objects back (and with them their rendered SQL).
+        """
+        key = (viz_id,) + tuple(
+            _exact_key(
+                self.widget_state[influencer]
+                if influencer in self.widgets
+                else self.viz_selection.get(influencer)
+            )
+            for influencer in self.graph.influencers(viz_id)
         )
+        query = self._queries.get(key)
+        if query is None:
+            base = self._base_queries.get(viz_id)
+            if base is None:
+                base = self._base_queries[viz_id] = base_query(
+                    self.visualizations[viz_id].spec, self.spec
+                )
+            query = with_filters(base, self.filters_for(viz_id))
+            if len(self._queries) >= QUERY_MEMO_LIMIT:
+                self._queries.clear()
+            self._queries[key] = query
+        return query
 
     def all_queries(self) -> dict[str, Query]:
         """Data-layer snapshot: every visualization's current query."""
@@ -281,7 +321,7 @@ class DashboardState:
         else:  # pragma: no cover - enum is exhaustive
             raise InteractionError(f"unhandled interaction kind {kind!r}")
 
-        return list(self.graph.reachable_visualizations(target))
+        return self.graph.reachable_visualizations(target)
 
     def _apply_widget(
         self, kind: InteractionKind, widget_id: str, value: object
@@ -387,6 +427,7 @@ class DashboardState:
         new_spec.validate()
         self.spec = new_spec
         self.graph = DashboardGraph(new_spec)
+        self._reset_query_tables()
         self.visualizations[viz_spec.id] = VisualizationRuntime(
             viz_spec, self.table
         )
@@ -436,6 +477,7 @@ class DashboardState:
         new_spec.validate()
         self.spec = new_spec
         self.graph = DashboardGraph(new_spec)
+        self._reset_query_tables()
         del self.visualizations[viz_id]
         del self.viz_selection[viz_id]
         return []
@@ -495,6 +537,20 @@ class DashboardState:
             if self.viz_selection[v_id]:
                 actions.append(Interaction(InteractionKind.VIZ_CLEAR, v_id))
         return actions
+
+
+def _exact_key(value: object) -> object:
+    """Hashable stand-in for one component's state in the query table.
+
+    Built from ``repr`` because ``1``, ``1.0`` and ``True`` compare
+    equal (as do ``0.0`` and ``-0.0``) but render as different SQL;
+    ``repr`` tells every literal type the data layer accepts apart.
+    """
+    if value is None:
+        return None
+    if isinstance(value, frozenset):
+        return frozenset(map(repr, value))
+    return repr(value)
 
 
 def _freeze(value: object) -> object:

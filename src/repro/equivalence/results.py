@@ -22,17 +22,26 @@ from repro.sql.ast import Query
 from repro.sql.formatter import format_query
 
 
+#: One result as the goal bookkeeping reads it: a (lower-cased column
+#: name, normalized value set) pair per output column, in column order.
+Cells = tuple[tuple[str, frozenset[object]], ...]
+
+
 class ResultCache:
     """Memoizes query execution on a reference engine.
 
     The Oracle planner evaluates many candidate interactions per step;
     caching keeps goal-completion testing from dominating simulation
-    time (queries are keyed by their formatted SQL).
+    time (queries are keyed by their formatted SQL). Beside each result
+    it keeps the result's cell sets, so scoring a candidate against a
+    goal intersects ready-made sets instead of normalizing every row
+    again.
     """
 
     def __init__(self, engine: Engine) -> None:
         self._engine = engine
         self._cache: dict[str, ResultSet] = {}
+        self._cells: dict[str, Cells] = {}
         self.hits = 0
         self.misses = 0
 
@@ -46,8 +55,21 @@ class ResultCache:
         self._cache[key] = result
         return result
 
+    def cells(self, query: Query) -> Cells:
+        """The cell sets of ``query``'s result; counts as a lookup."""
+        result = self.execute(query)
+        key = format_query(query)
+        cells = self._cells.get(key)
+        if cells is None:
+            cells = self._cells[key] = tuple(
+                (name.lower(), frozenset(_column_values(result, index)))
+                for index, name in enumerate(result.columns)
+            )
+        return cells
+
     def clear(self) -> None:
         self._cache.clear()
+        self._cells.clear()
         self.hits = 0
         self.misses = 0
 

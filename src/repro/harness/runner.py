@@ -144,9 +144,12 @@ class BenchmarkRunner:
                 for workflow_name in self.config.workflows:
                     workflow = get_workflow(workflow_name)
                     for run_index in range(self.config.runs):
+                        # A string seed: hash() of a tuple holding
+                        # strings is salted per interpreter, which made
+                        # one config a different workload in every run.
                         rng = random.Random(
-                            hash((self.config.seed, workflow_name,
-                                  dashboard_name, run_index)) & 0x7FFFFFFF
+                            f"{self.config.seed}:{workflow_name}:"
+                            f"{dashboard_name}:{run_index}"
                         )
                         try:
                             goals = workflow.instantiate_for_dashboard(

@@ -6,26 +6,31 @@ would this candidate interaction cover?" hundreds of times per step, so
 the tracker computes *gains* without re-unioning all observed results
 (the naive ``∪R_g ⊆ ∪R_i`` test of §4.1.2, which it implements
 incrementally).
+
+Observed cells are matched to goal cells by lower-cased output column
+name only, so a query none of whose output columns still has uncovered
+goal values covers nothing, whatever its rows are. Such a query is
+never executed on the reference engine: its gain is 0 by construction.
 """
 
 from __future__ import annotations
 
-from repro.engine.interface import Engine, ResultSet, normalize_value
-from repro.equivalence.results import ResultCache
-from repro.sql.ast import Query
+from repro.equivalence.results import Cells, ResultCache
+from repro.sql.ast import Column, FuncCall, Query, referenced_columns
 from repro.sql.formatter import format_query
 
 
 class _GoalCoverage:
     """Uncovered cells of one goal query, keyed by lower-cased column."""
 
-    def __init__(self, goal: Query, result: ResultSet) -> None:
+    def __init__(self, goal: Query, cells: Cells) -> None:
         self.goal = goal
+        #: Table columns the goal mentions (the Oracle's action pruning).
+        self.columns = referenced_columns(goal)
         self.uncovered: dict[str, set[object]] = {}
         self.total_cells = 0
-        for index, name in enumerate(result.columns):
-            values = {normalize_value(row[index]) for row in result.rows}
-            self.uncovered[name.lower()] = values
+        for name, values in cells:
+            self.uncovered[name] = set(values)
             self.total_cells += len(values)
         self.covered_cells = 0
 
@@ -39,34 +44,43 @@ class _GoalCoverage:
             return 1.0
         return self.covered_cells / self.total_cells
 
-    def gain_from(self, observed: ResultSet) -> int:
+    def gain_from(self, observed: Cells) -> int:
         """How many uncovered cells this observed result would cover."""
         gain = 0
-        for index, name in enumerate(observed.columns):
-            pending = self.uncovered.get(name.lower())
-            if not pending:
-                continue
-            observed_values = {
-                normalize_value(row[index]) for row in observed.rows
-            }
-            gain += len(pending & observed_values)
+        for name, values in observed:
+            pending = self.uncovered.get(name)
+            if pending:
+                gain += len(pending & values)
         return gain
 
-    def absorb(self, observed: ResultSet) -> int:
+    def absorb(self, observed: Cells) -> int:
         """Permanently cover cells present in ``observed``; return gain."""
         gain = 0
-        for index, name in enumerate(observed.columns):
-            pending = self.uncovered.get(name.lower())
-            if not pending:
-                continue
-            observed_values = {
-                normalize_value(row[index]) for row in observed.rows
-            }
-            matched = pending & observed_values
-            gain += len(matched)
-            pending -= matched
+        for name, values in observed:
+            pending = self.uncovered.get(name)
+            if pending:
+                matched = pending & values
+                gain += len(matched)
+                pending -= matched
         self.covered_cells += gain
         return gain
+
+
+def _may_cover(query: Query, pending: set[str]) -> bool:
+    """False only when no output column of ``query`` is named in ``pending``.
+
+    Decided from the query text. Where the text does not give the
+    result's column names the answer is True (execute and see):
+    ``SELECT *`` takes them from the table, and engines name an
+    unaliased expression other than a column or a function call each
+    in their own way.
+    """
+    for item in query.select:
+        if not item.alias and not isinstance(item.expr, (Column, FuncCall)):
+            return True
+        if item.output_name().lower() in pending:
+            return True
+    return False
 
 
 class GoalTracker:
@@ -75,7 +89,7 @@ class GoalTracker:
     def __init__(self, goal_queries: list[Query], cache: ResultCache) -> None:
         self._cache = cache
         self.goals = [
-            _GoalCoverage(goal, cache.execute(goal)) for goal in goal_queries
+            _GoalCoverage(goal, cache.cells(goal)) for goal in goal_queries
         ]
         self._seen_queries: set[str] = set()
 
@@ -91,6 +105,23 @@ class GoalTracker:
             return 1.0
         return sum(goal.fraction for goal in self.goals) / len(self.goals)
 
+    def pending_columns(self) -> set[str]:
+        """Table columns referenced by the goals not yet complete."""
+        columns: set[str] = set()
+        for goal in self.goals:
+            if not goal.complete:
+                columns |= goal.columns
+        return columns
+
+    def _pending_names(self) -> set[str]:
+        """Result column names that still have uncovered goal values."""
+        return {
+            name
+            for goal in self.goals
+            for name, values in goal.uncovered.items()
+            if values
+        }
+
     def gain(self, queries: list[Query]) -> int:
         """Total new cells the given queries would cover (no commit).
 
@@ -98,26 +129,26 @@ class GoalTracker:
         same query re-emitted covers no new ground, which also steers
         the Oracle away from repeating itself.
         """
+        pending = self._pending_names()
         total = 0
         for query in queries:
-            key = format_query(query)
-            if key in self._seen_queries:
+            if format_query(query) in self._seen_queries:
                 continue
-            result = self._cache.execute(query)
+            if not _may_cover(query, pending):
+                continue
+            cells = self._cache.cells(query)
             for goal in self.goals:
-                total += goal.gain_from(result)
+                total += goal.gain_from(cells)
         return total
 
     def observe(self, queries: list[Query]) -> int:
         """Commit observed queries; return total newly covered cells."""
+        pending = self._pending_names()
         total = 0
         for query in queries:
-            key = format_query(query)
-            result = self._cache.execute(query)
-            self._seen_queries.add(key)
-            for goal in self.goals:
-                total += goal.absorb(result)
+            if _may_cover(query, pending):
+                cells = self._cache.cells(query)
+                for goal in self.goals:
+                    total += goal.absorb(cells)
+            self._seen_queries.add(format_query(query))
         return total
-
-    def has_seen(self, query: Query) -> bool:
-        return format_query(query) in self._seen_queries

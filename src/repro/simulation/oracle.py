@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.dashboard.state import DashboardState, Interaction, InteractionKind
 from repro.simulation.goals import GoalTracker
-from repro.sql.ast import referenced_columns
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,7 @@ class OracleModel:
         queries were already seen), so the greedy heuristic would stall;
         a real analyst simply removes the stale filter and continues.
         """
-        relevant_columns: set[str] = set()
-        for goal in self.tracker.goals:
-            if not goal.complete:
-                relevant_columns |= referenced_columns(goal.goal)
+        relevant_columns = self.tracker.pending_columns()
         if not relevant_columns:
             return None
         for widget_id in sorted(state.widget_state):
@@ -122,16 +118,21 @@ class OracleModel:
     def _score_candidates(
         self, state: DashboardState
     ) -> list[PlannedStep]:
-        """Depth-1 scoring: apply each interaction to a copy, score gain."""
-        steps: list[PlannedStep] = []
-        for interaction in self._relevant_interactions(state):
-            candidate = state.copy()
-            emitted = candidate.apply(interaction)
-            fresh = [q for q in emitted if not self.tracker.has_seen(q)]
-            gain = self.tracker.gain(fresh) if fresh else 0
-            self.plans_evaluated += 1
-            steps.append(PlannedStep(interaction, gain))
-        return steps
+        """Depth-1 scoring: the gain of each goal-relevant interaction."""
+        return [
+            PlannedStep(interaction, self._gain_of(state, interaction))
+            for interaction in self._relevant_interactions(state)
+        ]
+
+    def _gain_of(self, state: DashboardState, interaction: Interaction) -> int:
+        """θ of one plan: apply ``interaction`` to a copy, score what it emits.
+
+        Queries already observed count for nothing
+        (:meth:`GoalTracker.gain` skips them).
+        """
+        candidate = state.copy()
+        self.plans_evaluated += 1
+        return self.tracker.gain(candidate.apply(interaction))
 
     def _relevant_interactions(
         self, state: DashboardState
@@ -144,10 +145,7 @@ class OracleModel:
         usually need). Falls back to the full action space if pruning
         empties it — correctness over speed.
         """
-        relevant_columns: set[str] = set()
-        for goal in self.tracker.goals:
-            if not goal.complete:
-                relevant_columns |= referenced_columns(goal.goal)
+        relevant_columns = self.tracker.pending_columns()
         available = state.available_interactions()
         if not relevant_columns:
             return available
@@ -181,22 +179,17 @@ class OracleModel:
         deepened: list[PlannedStep] = []
         for step in beam:
             candidate = state.copy()
-            emitted = candidate.apply(step.interaction)
+            candidate.apply_affected(step.interaction)
             # Approximate: the follow-up gain ignores overlap between the
             # two steps' contributions, which only ever overestimates by
             # cells both steps cover — acceptable for a beam heuristic.
-            follow_up = 0
-            for second in candidate.available_interactions():
-                second_state = candidate.copy()
-                second_emitted = second_state.apply(second)
-                fresh = [
-                    q
-                    for q in second_emitted
-                    if not self.tracker.has_seen(q)
-                ]
-                gain = self.tracker.gain(fresh) if fresh else 0
-                self.plans_evaluated += 1
-                follow_up = max(follow_up, gain)
+            follow_up = max(
+                (
+                    self._gain_of(candidate, second)
+                    for second in candidate.available_interactions()
+                ),
+                default=0,
+            )
             deepened.append(
                 PlannedStep(step.interaction, step.gain + follow_up)
             )

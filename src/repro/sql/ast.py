@@ -360,6 +360,11 @@ class OrderItem(Node):
         return f"{self.expr} {'DESC' if self.descending else 'ASC'}"
 
 
+#: Instance-dict key under which :func:`repro.sql.formatter.format_query`
+#: keeps a query's rendered text.
+SQL_MEMO = "_sql"
+
+
 @dataclass(frozen=True)
 class Query(Node):
     """A complete SELECT query over one table, optionally joined.
@@ -416,6 +421,12 @@ class Query(Node):
         if self.where is None:
             return self.with_where(predicate)
         return self.with_where(BinaryOp("AND", self.where, predicate))
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle and ``copy`` carry the fields, not the rendered text."""
+        state = dict(self.__dict__)
+        state.pop(SQL_MEMO, None)
+        return state
 
     def __str__(self) -> str:
         # Deferred import keeps the AST module dependency-free.

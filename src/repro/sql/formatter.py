@@ -26,6 +26,7 @@ from repro.sql.ast import (
     Literal,
     OrderItem,
     Query,
+    SQL_MEMO,
     SelectItem,
     Star,
     TableRef,
@@ -44,7 +45,21 @@ _PRECEDENCE = {
 
 
 def format_query(query: Query) -> str:
-    """Render a query as a single-line SQL string."""
+    """Render a query as a single-line SQL string.
+
+    A ``Query`` is frozen, so its text never changes: it is rendered
+    once and kept on the instance (:data:`repro.sql.ast.SQL_MEMO`, not
+    a dataclass field — equality, hashing, ``replace`` and pickling do
+    not see it). Two threads racing here store the same string.
+    """
+    state = query.__dict__
+    text = state.get(SQL_MEMO)
+    if text is None:
+        text = state[SQL_MEMO] = _render_query(query)
+    return text
+
+
+def _render_query(query: Query) -> str:
     parts = ["SELECT"]
     if query.distinct:
         parts.append("DISTINCT")

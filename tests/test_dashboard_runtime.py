@@ -322,6 +322,122 @@ class TestDashboardState:
         assert "toggle" in toggle.describe()
 
 
+class TestQueryTable:
+    """``query_for`` keeps one ``Query`` per (visualization, influencer
+    state) in a table a state shares with its copies — and with nothing
+    else."""
+
+    TOGGLE_A = Interaction(InteractionKind.WIDGET_TOGGLE, "queue_checkbox", "A")
+    TOGGLE_B = Interaction(InteractionKind.WIDGET_TOGGLE, "queue_checkbox", "B")
+
+    @staticmethod
+    def _select(state, viz_id):
+        pair = state.visualizations[viz_id].selectable_values()[0]
+        return Interaction(InteractionKind.VIZ_SELECT, viz_id, pair)
+
+    def test_equal_influencer_state_returns_the_same_query(self, state):
+        first = state.copy()
+        second = state.copy()
+        first.apply(self.TOGGLE_A)
+        second.apply(self.TOGGLE_B)
+        second.apply(self.TOGGLE_B)  # B off again ...
+        second.apply(self.TOGGLE_A)  # ... then A on: same state, other path
+        for viz_id in state.visualizations:
+            assert first.query_for(viz_id) is second.query_for(viz_id)
+            assert state.query_for(viz_id) is not first.query_for(viz_id)
+
+    def test_matches_a_query_built_from_scratch(self, state, cs_spec):
+        state.apply(self.TOGGLE_A)
+        state.apply(Interaction(InteractionKind.WIDGET_SET, "hour_slider", (9, 17)))
+        state.apply(self._select(state, "calls_by_queue"))
+        for viz_id, runtime in state.visualizations.items():
+            scratch = filtered_query(
+                runtime.spec, cs_spec, state.filters_for(viz_id)
+            )
+            assert state.query_for(viz_id) == scratch
+            assert format_query(state.query_for(viz_id)) == format_query(scratch)
+
+    def test_only_influencers_are_in_the_key(self, state):
+        """A visualization's own mark selection does not filter it."""
+        before = state.query_for("calls_by_queue")
+        state.apply(self._select(state, "calls_by_queue"))
+        assert state.query_for("calls_by_queue") is before
+
+    def test_equal_but_differently_typed_values_are_kept_apart(self, state):
+        """``9 == 9.0`` in Python, but ``BETWEEN 9 AND 17`` is other SQL
+        than ``BETWEEN 9.0 AND 17``."""
+        ints = state.copy()
+        floats = state.copy()
+        ints.apply(Interaction(InteractionKind.WIDGET_SET, "hour_slider", (9, 17)))
+        floats.apply(
+            Interaction(InteractionKind.WIDGET_SET, "hour_slider", (9.0, 17))
+        )
+        viz_id = state.graph.reachable_visualizations("hour_slider")[0]
+        assert "BETWEEN 9 AND 17" in format_query(ints.query_for(viz_id))
+        assert "BETWEEN 9.0 AND 17" in format_query(floats.query_for(viz_id))
+
+    def test_a_rebuilt_state_starts_an_empty_table(self, state, cs_spec, cs_data):
+        state.apply(self.TOGGLE_A)
+        rebuilt = DashboardState(cs_spec, cs_data)
+        rebuilt.apply(self.TOGGLE_A)
+        assert rebuilt._queries is not state._queries
+        for viz_id in state.visualizations:
+            assert rebuilt.query_for(viz_id) == state.query_for(viz_id)
+            assert rebuilt.query_for(viz_id) is not state.query_for(viz_id)
+
+    def test_session_load_drops_the_states_and_their_tables(self, cs_data):
+        import repro
+
+        with repro.connect("vectorstore") as session:
+            session.load(cs_data)
+            before = session.dashboard("customer_service")
+            before.initial_queries()
+            session.load(cs_data)
+            after = session.dashboard("customer_service")
+        assert after is not before
+        assert after._queries is not before._queries
+        assert not after._queries
+
+    def test_interface_manipulation_starts_over(self, state):
+        from repro.dashboard.spec import (
+            DimensionSpec,
+            MeasureSpec,
+            VisualizationSpec,
+        )
+
+        clone = state.copy()
+        old = {v: state.query_for(v) for v in state.visualizations}
+        table = state._queries
+        state.add_visualization(
+            VisualizationSpec(
+                id="lost_by_team", type="bar",
+                dimensions=(DimensionSpec("team"),),
+                measures=(MeasureSpec("count", "lostCalls"),),
+            ),
+            link_to=("calls_by_queue",),
+        )
+        assert state._queries is not table
+        assert clone._queries is table  # the clone keeps the old spec
+        assert "lost_by_team" in state.graph.influencers("calls_by_queue")
+        state.apply(self._select(state, "lost_by_team"))
+        assert "team IN" in format_query(state.query_for("calls_by_queue"))
+        assert clone.query_for("calls_by_queue") is old["calls_by_queue"]
+        state.remove_visualization("lost_by_team")
+        assert "team IN" not in format_query(state.query_for("calls_by_queue"))
+
+    def test_the_table_is_bounded(self, state, monkeypatch):
+        import repro.dashboard.state as state_module
+
+        monkeypatch.setattr(state_module, "QUERY_MEMO_LIMIT", 4)
+        for option in state.widgets["queue_checkbox"].options:
+            probe = state.copy()
+            probe.apply(
+                Interaction(InteractionKind.WIDGET_SET, "queue_checkbox", option)
+            )
+            assert len(state._queries) <= 4
+        assert state._queries  # and still in use after starting over
+
+
 class TestLibrary:
     def test_all_dashboards_load_and_validate(self):
         from repro.dashboard.library import all_dashboards

@@ -106,6 +106,35 @@ class TestResultCache:
         cache.clear()
         assert cache.misses == 0
 
+    def test_cells_are_kept_beside_the_result(self, vector_engine):
+        cache = ResultCache(vector_engine)
+        query = parse_query(
+            "SELECT queue, COUNT(*) AS n FROM customer_service GROUP BY queue"
+        )
+        cells = cache.cells(query)
+        result = cache.execute(query)
+        assert [name for name, _ in cells] == ["queue", "n"]
+        assert cells[0][1] == {row[0] for row in result.rows}
+        assert cache.cells(query) is cells
+        assert (cache.misses, cache.hits) == (1, 2)  # each call is a lookup
+
+    def test_duplicate_output_names_stay_separate(self, vector_engine):
+        cache = ResultCache(vector_engine)
+        cells = cache.cells(
+            parse_query("SELECT queue, hour AS queue FROM customer_service")
+        )
+        assert [name for name, _ in cells] == ["queue", "queue"]
+        assert cells[0][1] != cells[1][1]
+
+    def test_clear_drops_the_cells_too(self, vector_engine):
+        cache = ResultCache(vector_engine)
+        query = parse_query("SELECT COUNT(*) FROM customer_service")
+        cells = cache.cells(query)
+        cache.clear()
+        assert not cache._cells and not cache._cache
+        assert cache.cells(query) is not cells
+        assert cache.misses == 1
+
 
 class TestGoalSetFunctions:
     def test_goal_set_covered(self, vector_engine):

@@ -248,3 +248,55 @@ class TestHarnessLogExport:
         engine = create_engine("vectorstore")
         engine.load_table(generate_dataset("customer_service", 2_000, seed=4))
         assert replay_log(log, engine).matched
+
+
+#: Runs a small grid and prints the goals it drew and what the sessions
+#: did, as JSON. Run in children because the hash salt is per process.
+_GRID_SCRIPT = """
+import json
+import repro.simulation.workflows as workflows
+from repro.harness import BenchmarkConfig, BenchmarkRunner
+
+goal_sql = []
+instantiate = workflows.Workflow.instantiate_for_dashboard
+
+def recording(self, spec, rng=None):
+    goals = instantiate(self, spec, rng)
+    goal_sql.append([str(goal.query) for goal in goals])
+    return goals
+
+workflows.Workflow.instantiate_for_dashboard = recording
+result = BenchmarkRunner(BenchmarkConfig(
+    dashboards=("customer_service",), workflows=("shneiderman", "crossfilter"),
+    engines=("vectorstore",), sizes={"tiny": 300}, runs=2, seed=3,
+)).run()
+print(json.dumps({
+    "goals": goal_sql,
+    "runs": [
+        [r.workflow, r.run_index, r.interactions, r.queries, r.goals_completed]
+        for r in result.runs
+    ],
+}))
+"""
+
+
+class TestRunnerReproducibility:
+    def test_same_config_is_the_same_workload_in_every_interpreter(self):
+        """Goal draws were seeded with ``hash()`` of a tuple of strings,
+        which is salted per process."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        outputs = []
+        for salt in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", _GRID_SCRIPT],
+                env=dict(os.environ, PYTHONHASHSEED=salt),
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]["goals"]) == 4  # 2 workflows x 2 runs
+        assert all(run[2] > 0 for run in outputs[0]["runs"])

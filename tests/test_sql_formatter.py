@@ -1,11 +1,15 @@
 """Unit tests for SQL formatting and text normalization."""
 
+import copy
+import dataclasses
 import datetime as dt
+import pickle
 
 import pytest
 
-from repro.sql.ast import BinaryOp, Column, Literal
+from repro.sql.ast import SQL_MEMO, BinaryOp, Column, Literal, replace_query
 from repro.sql.formatter import (
+    _render_query,
     format_expression,
     format_literal,
     format_query,
@@ -51,6 +55,77 @@ class TestFormatQuery:
 
     def test_qualified_column(self):
         assert "t.a" in format_query(parse_query("SELECT t.a FROM t"))
+
+
+class TestRenderedOnce:
+    """``format_query`` keeps its text on the instance and nowhere else."""
+
+    TEXT = "SELECT queue, COUNT(*) AS n FROM cs WHERE hour > 1 GROUP BY queue"
+
+    def test_second_call_returns_the_kept_text(self):
+        query = parse_query(self.TEXT)
+        first = format_query(query)
+        assert format_query(query) is first
+        assert str(query) is first
+        assert first == _render_query(query) == self.TEXT
+
+    def test_derived_queries_render_their_own_text(self):
+        query = parse_query(self.TEXT)
+        format_query(query)  # rendered before every derivation below
+        extra = parse_expression("shift = 'day'")
+        derived = [
+            query.with_where(None),
+            query.with_where(extra),
+            query.and_where(extra),
+            replace_query(query, limit=3),
+            replace_query(query, select=list(query.select[:1]), group_by=[]),
+            dataclasses.replace(query, distinct=True),
+        ]
+        for other in derived:
+            assert SQL_MEMO not in vars(other)
+            assert format_query(other) == _render_query(other) != self.TEXT
+        assert format_query(query) == self.TEXT
+
+    def test_equality_and_hash_ignore_the_kept_text(self):
+        rendered, fresh = parse_query(self.TEXT), parse_query(self.TEXT)
+        before = hash(rendered)
+        format_query(rendered)
+        assert rendered == fresh and fresh == rendered
+        assert hash(rendered) == hash(fresh) == before
+        assert {rendered: 1}[fresh] == 1
+        assert dataclasses.asdict(rendered) == dataclasses.asdict(fresh)
+        assert [f.name for f in dataclasses.fields(rendered)] == [
+            "select", "from_table", "where", "group_by", "having",
+            "order_by", "limit", "distinct", "joins",
+        ]
+
+    def test_pickle_and_copy_carry_fields_only(self):
+        rendered, fresh = parse_query(self.TEXT), parse_query(self.TEXT)
+        format_query(rendered)
+        assert pickle.dumps(rendered) == pickle.dumps(fresh)
+        for clone in (
+            pickle.loads(pickle.dumps(rendered)),
+            copy.copy(rendered),
+            copy.deepcopy(rendered),
+        ):
+            assert clone == rendered
+            assert SQL_MEMO not in vars(clone)
+            assert format_query(clone) == self.TEXT
+
+    def test_shard_jobs_ship_the_same_bytes(self):
+        from repro.concurrency.procpool import ShardJob
+
+        def job(queries):
+            return ShardJob(
+                export_id="e", version=1, table="cs", shard=0, start=0,
+                stop=10, temp="tmp", queries=queries, predicate=None,
+            )
+
+        rendered, fresh = parse_query(self.TEXT), parse_query(self.TEXT)
+        format_query(rendered)
+        assert pickle.dumps(job((rendered,))) == pickle.dumps(job((fresh,)))
+        shipped = pickle.loads(pickle.dumps(job((rendered,))))
+        assert shipped.queries == (fresh,)
 
 
 class TestFormatExpression:
