@@ -1,9 +1,10 @@
 """Vectorized column store (DuckDB execution-model stand-in).
 
 Executes queries as whole-column numpy operations: the WHERE clause
-becomes one boolean mask, grouping assigns dense group ids, and
-aggregates are computed with ``np.bincount`` / ``np.minimum.at`` style
-scatter operations. Per-row Python interpretation is avoided on the hot
+becomes one boolean mask, grouping assigns dense group ids from
+dictionary codes (:mod:`repro.engine.encoding`), and aggregates are
+computed with ``np.bincount`` / ``np.minimum.at`` style scatter
+operations. Per-row Python interpretation is avoided on the hot
 path, which is what gives this engine the DuckDB-like profile on
 aggregation-heavy dashboard queries.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.encoding import Encoding, canonical_key, encode
 from repro.engine.expressions import (
     VectorContext,
     evaluate_mask,
@@ -26,7 +28,7 @@ from repro.engine.planner import (
     placeholder_row,
     plan_query,
 )
-from repro.engine.table import Table, take_columns
+from repro.engine.table import Table
 from repro.engine.types import sort_key
 from repro.sql.ast import FuncCall, Query, SelectItem, Star, TableRef
 
@@ -38,7 +40,8 @@ def filtered_table(table: Table, name: str, predicate, row_range=None) -> Table:
     relations without shuttling rows through result sets: one mask over
     the column arrays, then plain column slicing — the values stay the
     original Python objects, so downstream execution is byte-identical
-    to filtering inline.
+    to filtering inline. The result is a :meth:`Table.take` of
+    ``table``, so it inherits ``table``'s dictionary codes.
 
     ``row_range`` restricts the scan to a ``(start, stop)`` slice of
     base row positions (sharded execution): the predicate mask is
@@ -50,9 +53,7 @@ def filtered_table(table: Table, name: str, predicate, row_range=None) -> Table:
 
     start, stop = row_range if row_range is not None else (0, table.num_rows)
     if predicate is None:
-        return Table(
-            name, table.schema, take_columns(table, list(range(start, stop)))
-        )
+        return table.take(name, np.arange(start, stop))
     probe = Query(
         select=(SelectItem(Star()),),
         from_table=TableRef(table.name),
@@ -60,13 +61,15 @@ def filtered_table(table: Table, name: str, predicate, row_range=None) -> Table:
     )
     arrays = {n: table.array(n) for n in table.schema.names}
     probe = rewrite_query(probe, table, arrays)
+    rows = None
     if row_range is not None:
         # Derived arrays are built full-length; slice everything after
         # the rewrite so positions stay aligned.
-        arrays = {n: a[start:stop] for n, a in arrays.items()}
-    ctx = VectorContext(arrays, stop - start)
-    indices = (np.nonzero(evaluate_mask(probe.where, ctx))[0] + start).tolist()
-    return Table(name, table.schema, take_columns(table, indices))
+        rows = slice(start, stop)
+        arrays = {n: a[rows] for n, a in arrays.items()}
+    ctx = VectorContext(arrays, stop - start, table, rows)
+    mask = evaluate_mask(probe.where, ctx)
+    return table.take(name, np.flatnonzero(mask) + start)
 
 
 class VectorStoreEngine(DatabaseBackedEngine):
@@ -100,7 +103,7 @@ class VectorStoreEngine(DatabaseBackedEngine):
             table = self._db.table(query.from_table.name)
         arrays = {name: table.array(name) for name in table.schema.names}
         query = rewrite_query(query, table, arrays)
-        ctx = VectorContext(arrays, table.num_rows)
+        ctx = VectorContext(arrays, table.num_rows, table)
         if query.where is not None:
             mask = evaluate_mask(query.where, ctx)
             ctx = _filtered_context(ctx, mask)
@@ -139,7 +142,9 @@ class VectorStoreEngine(DatabaseBackedEngine):
             key_arrays = [
                 evaluate_values(e, ctx) for e in plan.key_exprs
             ]
-            gids, group_keys = _assign_group_ids(key_arrays, num_rows)
+            gids, group_keys = _assign_group_ids(
+                key_arrays, [ctx.encoding(e) for e in plan.key_exprs]
+            )
             group_count = len(group_keys)
 
         agg_columns = [
@@ -212,67 +217,68 @@ class VectorStoreEngine(DatabaseBackedEngine):
 
 
 def _filtered_context(ctx: VectorContext, mask: np.ndarray) -> VectorContext:
-    arrays = {name: arr[mask] for name, arr in ctx.arrays.items()}
-    return VectorContext(arrays, int(mask.sum()))
+    """The rows of ``ctx`` (a whole table) where ``mask`` holds; their
+    positions travel along, so the table's codes are cut to match."""
+    rows = np.flatnonzero(mask)
+    arrays = {name: arr[rows] for name, arr in ctx.arrays.items()}
+    return VectorContext(arrays, len(rows), ctx.table, rows)
+
+
+#: Largest product of key cardinalities combined into one int64 code.
+_MAX_RADIX = 1 << 62
 
 
 def _assign_group_ids(
-    key_arrays: list[np.ndarray], num_rows: int
+    key_arrays: list[np.ndarray],
+    encodings: list[Encoding | None] | None = None,
 ) -> tuple[np.ndarray, list[tuple[object, ...]]]:
     """Dense group ids + the distinct key tuple for each id.
 
-    Single float keys (the common case: one grouping column, or a
-    binned/derived temporal dimension) are grouped entirely in numpy via
-    ``np.unique``; everything else falls back to a hash loop.
+    Every key is dictionary-encoded — ``encodings[i]`` when the caller
+    has the table's cached codes for key ``i``, otherwise here — and
+    the per-key codes are combined mixed-radix into one int64 per row,
+    so ``np.unique`` groups all keys at once. Ids are renumbered by
+    first occurrence, the order a hash loop over the rows assigns;
+    only a single float key keeps ``np.unique``'s ascending order (its
+    codes ascend with the values, NULL first). Key tuples hold the
+    canonical values of each group's first row.
     """
+    if encodings is None:
+        encodings = [None] * len(key_arrays)
+    encoded = [
+        encoding if encoding is not None else encode(values)
+        for encoding, values in zip(encodings, key_arrays)
+    ]
+    combined, radix = encoded[0].codes, encoded[0].cardinality
+    for encoding in encoded[1:]:
+        codes, cardinality = encoding.codes, encoding.cardinality
+        if radix * cardinality > _MAX_RADIX:
+            # Both sides drop to at most num_rows values.
+            combined, radix = _densify(combined)
+            codes, cardinality = _densify(codes)
+        combined = combined * cardinality + codes
+        radix *= cardinality
+    _, first, gids = np.unique(
+        combined, return_index=True, return_inverse=True
+    )
+    gids = gids.reshape(-1).astype(np.int64, copy=False)
     if len(key_arrays) == 1 and key_arrays[0].dtype == np.float64:
-        values = key_arrays[0]
-        # NaN keys group together (SQL groups NULLs): substitute a
-        # sentinel below the data range, which np.unique sorts first.
-        nan_mask = np.isnan(values)
-        if nan_mask.any():
-            finite = values[~nan_mask]
-            sentinel = (float(finite.min()) - 1.0) if finite.size else 0.0
-            values = np.where(nan_mask, sentinel, values)
-        unique, gids = np.unique(values, return_inverse=True)
-        key_list = [
-            (None,)
-            if nan_mask.any() and _was_nan_group(key_arrays[0], gids, gid)
-            else (_canonical_key(float(unique[gid])),)
-            for gid in range(len(unique))
-        ]
-        return gids.astype(np.int64), key_list
-    gids = np.empty(num_rows, dtype=np.int64)
-    keys: dict[tuple[object, ...], int] = {}
-    key_list2: list[tuple[object, ...]] = []
-    columns = [list(a) for a in key_arrays]
-    for i in range(num_rows):
-        key = tuple(_canonical_key(col[i]) for col in columns)
-        gid = keys.get(key)
-        if gid is None:
-            gid = len(key_list2)
-            keys[key] = gid
-            key_list2.append(key)
-        gids[i] = gid
-    return gids, key_list2
+        firsts = key_arrays[0][first].tolist()
+        return gids, [(canonical_key(value),) for value in firsts]
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    keys = [
+        tuple(canonical_key(values[row]) for values in key_arrays)
+        for row in first[order].tolist()
+    ]
+    return rank[gids], keys
 
 
-def _was_nan_group(
-    original: np.ndarray, gids: np.ndarray, gid: int
-) -> bool:
-    """Whether group ``gid``'s members were NaN before substitution."""
-    members = np.flatnonzero(gids == gid)
-    return members.size > 0 and bool(np.isnan(original[members[0]]))
-
-
-def _canonical_key(value: object) -> object:
-    """NaN group keys behave as NULL; integral floats become ints."""
-    if isinstance(value, float):
-        if np.isnan(value):
-            return None
-        if value == int(value):
-            return int(value)
-    return value
+def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber ``codes`` to ``0..k-1``, keeping their order."""
+    unique, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1), len(unique)
 
 
 def _distinct_aggregate(
@@ -282,7 +288,7 @@ def _distinct_aggregate(
     for gid, value in zip(gids, values):
         if value is None or (isinstance(value, float) and np.isnan(value)):
             continue
-        sets[gid].add(_canonical_key(value))
+        sets[gid].add(canonical_key(value))
     results: list[object] = []
     for members in sets:
         accumulator = make_accumulator(call)

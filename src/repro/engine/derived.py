@@ -41,7 +41,8 @@ def derived_name(func: str, column: str) -> str:
 
 
 def derived_array(table: Table, func: str, column: str) -> np.ndarray:
-    """Full-length extracted-part array, cached on the table.
+    """Full-length extracted-part array, cached on the table (for a
+    :meth:`Table.take` table, sliced from its base table's).
 
     ``func == "EPOCH"`` yields seconds since the Unix epoch, used to
     turn temporal range predicates into float comparisons.
@@ -53,7 +54,10 @@ def derived_array(table: Table, func: str, column: str) -> np.ndarray:
     key = derived_name(func, column)
     if key not in cache:
         values = table.column(column)
-        if func == "EPOCH":
+        if table.origin is not None:
+            base, rows = table.origin
+            cache[key] = derived_array(base, func, column)[rows]
+        elif func == "EPOCH":
             cache[key] = np.array(
                 [np.nan if v is None else _epoch(v) for v in values],
                 dtype=np.float64,

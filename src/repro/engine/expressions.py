@@ -23,6 +23,7 @@ import re
 
 import numpy as np
 
+from repro.engine.encoding import NULL_CODE, Encoding, canonical_key
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.sql.ast import (
     Between,
@@ -302,16 +303,42 @@ def _like_regex(pattern: str) -> re.Pattern[str]:
 
 
 class VectorContext:
-    """Column arrays available to the vectorized evaluator."""
+    """Column arrays available to the vectorized evaluator.
 
-    def __init__(self, arrays: dict[str, np.ndarray], num_rows: int) -> None:
+    ``table`` is the :class:`~repro.engine.table.Table` the arrays were
+    read from, and ``rows`` the positions in it they hold (``None``: all
+    rows, in order). With a table, a bare column's cached dictionary
+    encoding is available through :meth:`encoding`.
+    """
+
+    def __init__(
+        self,
+        arrays: dict[str, np.ndarray],
+        num_rows: int,
+        table=None,
+        rows=None,
+    ) -> None:
         self.arrays = arrays
         self.num_rows = num_rows
+        self.table = table
+        self.rows = rows
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.arrays:
             raise ExecutionError(f"unknown column {name!r}")
         return self.arrays[name]
+
+    def encoding(self, expr: Expression) -> Encoding | None:
+        """The table's encoding of ``expr`` at this context's rows, when
+        ``expr`` is a bare table column; ``None`` otherwise."""
+        if (
+            self.table is None
+            or not isinstance(expr, Column)
+            or expr.name not in self.table.schema
+        ):
+            return None
+        encoding = self.table.encoding(expr.name)
+        return encoding if self.rows is None else encoding.take(self.rows)
 
 
 def evaluate_values(expr: Expression, ctx: VectorContext) -> np.ndarray:
@@ -368,17 +395,22 @@ def evaluate_mask(expr: Expression, ctx: VectorContext) -> np.ndarray:
     if isinstance(expr, BinaryOp) and expr.is_comparison:
         return _vector_compare(expr, ctx)
     if isinstance(expr, InList):
-        values = evaluate_values(expr.expr, ctx)
-        members = [
-            v.value if isinstance(v, Literal) else None for v in expr.values
-        ]
-        if any(
-            not isinstance(v, Literal) for v in expr.values
-        ):
+        if any(not isinstance(v, Literal) for v in expr.values):
             raise ExecutionError("vectorized IN requires literal members")
-        mask = _vector_isin(values, [m for m in members if m is not None])
-        mask &= _notnull(values)
-        return ~mask & _notnull(values) if expr.negated else mask
+        members = [v.value for v in expr.values if v.value is not None]
+        encoding = _literal_encoding(expr.expr, ctx)
+        if encoding is not None:
+            # np.isin over codes as one gather from a per-code table.
+            member = np.zeros(encoding.cardinality, dtype=bool)
+            member[[_code_of(encoding, m) for m in members]] = True
+            member[NULL_CODE] = False
+            mask = member[encoding.codes]
+            notnull = encoding.codes != NULL_CODE
+        else:
+            values = evaluate_values(expr.expr, ctx)
+            notnull = _notnull(values)
+            mask = _vector_isin(values, members) & notnull
+        return ~mask & notnull if expr.negated else mask
     if isinstance(expr, Between):
         values = evaluate_values(expr.expr, ctx)
         low = _single_literal(expr.low)
@@ -397,8 +429,11 @@ def evaluate_mask(expr: Expression, ctx: VectorContext) -> np.ndarray:
         )
         return (~mask & _notnull(values)) if expr.negated else mask
     if isinstance(expr, IsNull):
-        values = evaluate_values(expr.expr, ctx)
-        nulls = ~_notnull(values)
+        encoding = _literal_encoding(expr.expr, ctx)
+        if encoding is not None:
+            nulls = encoding.codes == NULL_CODE
+        else:
+            nulls = ~_notnull(evaluate_values(expr.expr, ctx))
         return ~nulls if expr.negated else nulls
     if isinstance(expr, Literal):
         return np.full(ctx.num_rows, bool(expr.value), dtype=bool)
@@ -409,6 +444,11 @@ def evaluate_mask(expr: Expression, ctx: VectorContext) -> np.ndarray:
 
 
 def _vector_compare(expr: BinaryOp, ctx: VectorContext) -> np.ndarray:
+    if expr.op in ("=", "!="):
+        coded = _coded_equality(expr, ctx)
+        if coded is not None:
+            equal, valid = coded
+            return (equal if expr.op == "=" else ~equal) & valid
     left = evaluate_values(expr.left, ctx)
     right = evaluate_values(expr.right, ctx)
     if left.dtype == np.float64 and right.dtype == np.float64:
@@ -513,10 +553,47 @@ def _vector_order(values: np.ndarray, op: str, bound: object) -> np.ndarray:
     return result
 
 
+def _literal_encoding(expr: Expression, ctx: VectorContext) -> Encoding | None:
+    """The encoding of an object column whose codes can answer
+    comparisons with literals (see :class:`Encoding`), else ``None``."""
+    values = ctx.arrays.get(expr.name) if isinstance(expr, Column) else None
+    if values is None or values.dtype != object:
+        return None
+    encoding = ctx.encoding(expr)
+    if encoding is None or encoding.lookup is None:
+        return None
+    return encoding
+
+
+def _code_of(encoding: Encoding, value: object) -> int:
+    """The code of the values equal to ``value`` (NULL_CODE: none)."""
+    return encoding.lookup.get(canonical_key(value), NULL_CODE)
+
+
+def _coded_equality(
+    expr: BinaryOp, ctx: VectorContext
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``column = literal`` over an encoded object column, as the
+    (equal, not-NULL) masks the elementwise comparison would give."""
+    for column, other in ((expr.left, expr.right), (expr.right, expr.left)):
+        if not isinstance(other, Literal):
+            continue
+        value = other.value
+        encoding = _literal_encoding(column, ctx)
+        if encoding is None or value is None or _is_nan(value):
+            continue
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = float(value)  # what evaluate_values makes of it
+        # An absent value's NULL_CODE matches only rows the mask drops.
+        codes = encoding.codes
+        return codes == _code_of(encoding, value), codes != NULL_CODE
+    return None
+
+
 def _notnull(values: np.ndarray) -> np.ndarray:
     if values.dtype == np.float64:
         return ~np.isnan(values)
-    return np.array([v is not None for v in values], dtype=bool)
+    return np.not_equal(values, None)
 
 
 def _as_float(values: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from repro.engine.planner import (
     plan_query,
 )
 from repro.engine.columnstore import (
-    _canonical_key,
     _columns_to_rows,
     _finish_tagged,
     _finish_vector,
@@ -42,6 +41,7 @@ from repro.engine.columnstore import (
     _distinct_aggregate,
     filtered_table,
 )
+from repro.engine.encoding import canonical_key
 from repro.engine.indexes import TableIndexes, candidate_indices
 from repro.engine.table import Table
 from repro.sql.ast import FuncCall, Query, Star, conjuncts
@@ -158,7 +158,7 @@ class MatStoreEngine(DatabaseBackedEngine):
             group_keys: list[tuple[object, ...]] = [()]
         else:
             key_columns = [
-                [_canonical_key(v) for v in evaluate_values(e, ctx)]
+                [canonical_key(v) for v in evaluate_values(e, ctx)]
                 for e in plan.key_exprs
             ]
             order, boundaries, group_keys = _sort_groups(key_columns, num_rows)

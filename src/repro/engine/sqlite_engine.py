@@ -187,13 +187,12 @@ class SQLiteEngine(Engine):
             )
             cursor.execute(f'CREATE TABLE "{table.name}" ({columns_sql})')
             placeholders = ", ".join("?" for _ in table.schema)
-            names = table.schema.names
-            rows = (
-                tuple(_to_sqlite(table.column(n)[i]) for n in names)
-                for i in range(table.num_rows)
-            )
+            columns = [
+                _sqlite_column(table.column(n)) for n in table.schema.names
+            ]
             cursor.executemany(
-                f'INSERT INTO "{table.name}" VALUES ({placeholders})', rows
+                f'INSERT INTO "{table.name}" VALUES ({placeholders})',
+                zip(*columns),
             )
             conn.commit()
             self._schemas[table.name] = table
@@ -451,6 +450,15 @@ def _make_udf(name: str):
         return result
 
     return udf
+
+
+def _sqlite_column(values: list[object]) -> list[object]:
+    """A column as SQLite stores it: converted only where it holds
+    values :func:`_to_sqlite` changes (a STRING column inferred from
+    mixed values can hold booleans too)."""
+    if any(issubclass(t, (bool, _dt.date)) for t in set(map(type, values))):
+        return [_to_sqlite(v) for v in values]
+    return values
 
 
 def _to_sqlite(value: object) -> object:

@@ -1,9 +1,9 @@
 """In-memory columnar tables shared by the pure-Python engines.
 
 A :class:`Table` stores data column-major (one Python list per column,
-with numpy views materialized lazily for the vectorized engine). The same
-``Table`` instance can be loaded into any engine; the SQLite wrapper
-copies it into a real database.
+with numpy views and dictionary encodings materialized lazily for the
+vectorized engine). The same ``Table`` instance can be loaded into any
+engine; the SQLite wrapper copies it into a real database.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.encoding import Encoding, encode
 from repro.engine.types import DataType, coerce, infer_type
 from repro.errors import SchemaError
 
@@ -104,6 +105,13 @@ class Table:
         self._columns = {c: list(columns[c]) for c in schema.names}
         self._num_rows = lengths.pop() if lengths else 0
         self._arrays: dict[str, np.ndarray] = {}
+        self._encodings: dict[str, Encoding] = {}
+        #: ``(base table, row positions)`` for a table built by
+        #: :meth:`take`, whose cached arrays and encodings are the base
+        #: table's at those rows; ``None`` otherwise.
+        self.origin: tuple[Table, np.ndarray] | None = None
+        self._distinct: dict[str, list[object]] = {}
+        self._extents: dict[str, tuple[object, object]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -255,7 +263,10 @@ class Table:
         if name not in self._arrays:
             dtype = self.schema.dtype(name)
             values = self.column(name)
-            if dtype.is_numeric:
+            if self.origin is not None:
+                base, rows = self.origin
+                arr = base.array(name)[rows]
+            elif dtype.is_numeric:
                 arr = np.array(
                     [np.nan if v is None else float(v) for v in values],
                     dtype=np.float64,
@@ -269,6 +280,27 @@ class Table:
                 arr = np.array(values, dtype=object)
             self._arrays[name] = arr
         return self._arrays[name]
+
+    def encoding(self, name: str) -> Encoding:
+        """Dictionary encoding of :meth:`array`, cached like it."""
+        if name not in self._encodings:
+            if self.origin is not None:
+                base, rows = self.origin
+                self._encodings[name] = base.encoding(name).take(rows)
+            else:
+                self._encodings[name] = encode(self.array(name))
+        return self._encodings[name]
+
+    def take(self, name: str, rows: np.ndarray) -> "Table":
+        """The rows at positions ``rows``, in that order, as table ``name``.
+
+        The new table's :attr:`origin` is this table and ``rows``, so
+        its arrays and encodings are sliced from this table's instead of
+        built from its own copy of the values.
+        """
+        table = Table(name, self.schema, take_columns(self, rows.tolist()))
+        table.origin = (self, rows)
+        return table
 
     def row(self, index: int) -> dict[str, object]:
         """Materialize one row as a dict (used by the row-store engine)."""
@@ -289,19 +321,24 @@ class Table:
         """Sorted distinct non-null values of a column.
 
         Dashboard widgets use this to enumerate their options (checkbox
-        members, slider extents).
+        members, slider extents). Computed once per column; each call
+        returns a fresh list the caller may reorder or slice.
         """
         from repro.engine.types import sort_key
 
-        values = {v for v in self.column(name) if v is not None}
-        return sorted(values, key=sort_key)
+        if name not in self._distinct:
+            values = {v for v in self.column(name) if v is not None}
+            self._distinct[name] = sorted(values, key=sort_key)
+        return list(self._distinct[name])
 
     def column_extent(self, name: str) -> tuple[object, object]:
-        """(min, max) of the non-null values of a column."""
-        values = [v for v in self.column(name) if v is not None]
-        if not values:
-            return (None, None)
-        return (min(values), max(values))
+        """(min, max) of the non-null values of a column (computed once)."""
+        if name not in self._extents:
+            values = [v for v in self.column(name) if v is not None]
+            self._extents[name] = (
+                (min(values), max(values)) if values else (None, None)
+            )
+        return self._extents[name]
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self.schema)} cols, {self._num_rows} rows)"

@@ -15,6 +15,7 @@ from repro.engine.expressions import (
     like_match,
     make_accumulator,
 )
+from repro.engine.table import Table
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.sql.ast import FuncCall, Star
 from repro.sql.parser import parse_expression
@@ -234,6 +235,20 @@ class TestVectorEvaluation:
         values = evaluate_values(parse_expression("BIN(x, 2)"), ctx)
         assert values[1] == 2.0
         assert values[3] == 4.0
+
+
+class TestVectorEvaluationOverCodes(TestVectorEvaluation):
+    """The same cases with a table behind the context, so string
+    predicates compare the table's dictionary codes."""
+
+    @pytest.fixture()
+    def ctx(self):
+        table = Table.from_columns(
+            "t", {"x": [1.0, 2.0, None, 4.0], "q": ["A", "B", "A", None]}
+        )
+        return VectorContext(
+            {n: table.array(n) for n in table.schema.names}, 4, table
+        )
 
 
 class TestAccumulators:

@@ -106,6 +106,14 @@ class TestTableAccess:
     def test_distinct_values_skip_nulls_and_sort(self, simple_table):
         assert simple_table.distinct_values("q") == ["A", "B"]
 
+    def test_distinct_values_memo_hands_out_fresh_lists(self, simple_table):
+        first = simple_table.distinct_values("q")
+        first.reverse()
+        first.append("Z")
+        second = simple_table.distinct_values("q")
+        assert second == ["A", "B"]
+        assert second is not simple_table.distinct_values("q")
+
     def test_column_extent(self, simple_table):
         assert simple_table.column_extent("x") == (1, 4)
 
