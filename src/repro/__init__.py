@@ -22,12 +22,12 @@ Execution strategy is configured once through
 the whole stack as a single ``policy=`` value; every policy returns
 byte-identical results. The full simulation API
 (:class:`SessionSimulator`, :class:`BenchmarkRunner`, …) remains
-importable piecewise, and the pre-policy per-knob keywords
-(``batch=``/``workers=``/``shards=``/``multiplan=``) keep working
-through a deprecation shim.
+importable piecewise. The pre-policy per-knob keywords
+(``batch=``/``workers=``/``shards=``/``multiplan=``) were removed in
+2.0.0; ``policy=`` is the only way to say how a batch executes.
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See docs/ARCHITECTURE.md for the full system inventory and
+docs/BENCHMARKS.md for the benchmark artifacts and what they measure.
 """
 
 from repro.algebra import GOAL_TEMPLATES, get_template, translate
@@ -69,7 +69,7 @@ from repro.telemetry import ExplainReport, Telemetry
 from repro.workload import DATASET_NAMES, generate_dataset
 from repro.workload.normalize import DimensionSpec, normalize_star
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BenchmarkConfig",

@@ -2,9 +2,9 @@
 
 The concurrent stack's correctness conventions — lock ordering,
 ``ACTIVE``-guarded telemetry, shared-memory lifecycle, frozen
-execution policies, pool-only parallelism, no deprecated per-knob
-kwargs — are enforced here as AST rules over ``src/repro/``, run by
-``tools/check_invariants.py`` and the CI ``lint`` job.
+execution policies, pool-only parallelism — are enforced here as AST
+rules over ``src/repro/``, run by ``tools/check_invariants.py`` and the
+CI ``lint`` job.
 
 Public surface::
 

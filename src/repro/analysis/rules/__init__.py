@@ -8,7 +8,6 @@ all pick it up from :func:`repro.analysis.all_rules`).
 
 from repro.analysis.rules import (  # noqa: F401 - imported for registration
     bare_thread,
-    deprecated_kwarg,
     frozen_policy,
     lock_order,
     shm_lifecycle,
@@ -20,6 +19,5 @@ __all__ = [
     "telemetry_purity",
     "shm_lifecycle",
     "frozen_policy",
-    "deprecated_kwarg",
     "bare_thread",
 ]

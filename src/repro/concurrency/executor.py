@@ -113,20 +113,7 @@ class ScanGroupExecutor(BatchExecutor):
         fallback_engine: Engine | None = None,
         group_flight: SingleFlight | None = None,
         proc_pool=None,
-        workers: int | None = None,
-        shards: int | None = None,
-        multiplan: bool | None = None,
     ) -> None:
-        from repro.execution import ExecutionPolicy, resolve_policy
-
-        policy = resolve_policy(
-            policy,
-            api="ScanGroupExecutor",
-            default=ExecutionPolicy(),
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-        )
         engine = slot_gated(engine)
         super().__init__(
             engine,
@@ -134,10 +121,6 @@ class ScanGroupExecutor(BatchExecutor):
             group_cache=group_cache,
             fallback_engine=fallback_engine,
         )
-        self.workers = policy.workers
-        #: Row-range shards per shardable scan group; ``1`` keeps the
-        #: one-task-per-group execution untouched.
-        self.shards = policy.shards
         #: Collapses concurrent identical groups; only effective with a
         #: group cache (followers are served from what the leader
         #: stored there).
@@ -174,38 +157,21 @@ class ScanGroupExecutor(BatchExecutor):
         if pool is not None:
             pool.shutdown()
 
-    def run(
-        self,
-        queries: list[Query],
-        policy=None,
-        *,
-        workers: int | None = None,
-        shards: int | None = None,
-        multiplan: bool | None = None,
-    ) -> BatchResult:
+    def run(self, queries: list[Query], policy=None) -> BatchResult:
         """Execute one batch; results align positionally with input.
 
         ``policy`` overrides the constructor's policy for this call
-        (``None`` keeps it); the per-knob keywords are the deprecated
-        equivalent. The override rides along per call rather than
+        (``None`` keeps it, so a bare ``run()`` behaves exactly as
+        configured). The override rides along per call rather than
         mutating executor state, so concurrent ``run`` calls with
         different policies stay independent. ``shards <= 1`` takes the
         exact pre-existing one-task-per-group path;
         ``multiplan=False`` likewise never reaches the combined-pass
         evaluator.
         """
-        from repro.execution import resolve_policy
+        from repro.execution import coerce_policy
 
-        # The constructor's policy is the per-call default, so a bare
-        # run() behaves exactly as configured.
-        policy = resolve_policy(
-            policy,
-            api="ScanGroupExecutor.run",
-            default=self.policy,
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-        )
+        policy = self.policy if policy is None else coerce_policy(policy)
         if not policy.batch:
             # Mirror the constructor: this executor IS the batch path;
             # silently running shared scans for a sequential policy

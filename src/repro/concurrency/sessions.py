@@ -44,64 +44,22 @@ class RefreshJob:
     ``state.refresh`` (an :class:`~repro.execution.ExecutionPolicy`
     or preset name; ``None`` = the default shared-scan policy); the
     pool running jobs concurrently is sized by :func:`refresh_many`'s
-    own ``workers`` argument. The per-knob fields are deprecated and
-    map onto the equivalent policy at construction.
+    own ``workers`` argument.
     """
 
     state: object  # DashboardState (duck-typed; avoids a circular import)
     engine: Engine
     viz_ids: Sequence[str] | None = None
     policy: object = None  # ExecutionPolicy | preset name | None
-    batch: bool | None = None
-    workers: int | None = None
-    shards: int | None = None
-    multiplan: bool | None = None
 
     def __post_init__(self) -> None:
-        from repro.errors import ConfigError
-        from repro.execution import (
-            POLICY_KNOBS,
-            ExecutionPolicy,
-            coerce_policy,
-            resolve_policy,
-        )
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        if self.policy is not None:
-            resolved = coerce_policy(self.policy)
-            # Knob fields equal to the policy's own values are its
-            # mirrors riding along (``dataclasses.replace`` passes
-            # every field back in) — only a *differing* value is a
-            # real conflict.
-            mismatched = sorted(
-                k
-                for k in POLICY_KNOBS
-                if getattr(self, k) is not None
-                and getattr(self, k) != getattr(resolved, k)
-            )
-            if mismatched:
-                raise ConfigError(
-                    f"RefreshJob: policy= conflicts with the deprecated "
-                    f"{', '.join(mismatched)} field(s); set only policy"
-                )
-        else:
-            resolved = resolve_policy(
-                None,
-                api="RefreshJob",
-                default=ExecutionPolicy(),
-                # One extra hop: the dataclass-generated __init__ sits
-                # between the caller and __post_init__.
-                stacklevel=4,
-                batch=self.batch,
-                workers=self.workers,
-                shards=self.shards,
-                multiplan=self.multiplan,
-            )
-        self.policy = resolved
-        # The deprecated fields keep reading coherently.
-        self.batch = resolved.batch
-        self.workers = resolved.workers
-        self.shards = resolved.shards
-        self.multiplan = resolved.multiplan
+        self.policy = (
+            ExecutionPolicy()
+            if self.policy is None
+            else coerce_policy(self.policy)
+        )
 
 
 def refresh_many(

@@ -165,11 +165,7 @@ class RefreshPlan:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def execute(
-        self, engine: Engine, policy=None, *, batch: bool | None = None,
-        workers: int | None = None, shards: int | None = None,
-        multiplan: bool | None = None,
-    ) -> dict[str, QueryResult]:
+    def execute(self, engine: Engine, policy=None) -> dict[str, QueryResult]:
         """Run the refresh; returns timed results keyed by viz id.
 
         ``policy`` (an :class:`~repro.execution.ExecutionPolicy` or
@@ -180,20 +176,11 @@ class RefreshPlan:
         independent units (scan groups in batch mode, single queries
         otherwise); ``shards``/``multiplan`` split and combine scan
         groups (:mod:`repro.sharding`, :mod:`repro.engine.multiplan`).
-        All policies produce identical result sets. The per-knob
-        keywords are deprecated and map onto the equivalent policy.
+        All policies produce identical result sets.
         """
-        from repro.execution import ExecutionPolicy, resolve_policy
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        policy = resolve_policy(
-            policy,
-            api="RefreshPlan.execute",
-            default=ExecutionPolicy(),
-            batch=batch,
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-        )
+        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
         # The engine dispatches every policy, including the sequential
         # (batch=False) path — one implementation, not a copy per layer.
         timed = engine.execute_batch(self.queries, policy)

@@ -206,9 +206,7 @@ class DashboardState:
 
     # -- refresh paths (batch API) ---------------------------------------------
 
-    def refresh(self, engine, viz_ids=None, policy=None, *,
-                batch: bool | None = None, workers: int | None = None,
-                shards: int | None = None, multiplan: bool | None = None):
+    def refresh(self, engine, viz_ids=None, policy=None):
         """Execute the current queries of (all or selected) nodes.
 
         ``policy`` (an :class:`~repro.execution.ExecutionPolicy` or
@@ -219,22 +217,13 @@ class DashboardState:
         overlap scan groups, shards split base scans with
         partial-aggregate rollup, multiplan combines unfiltered groups
         into one pass (:mod:`repro.concurrency`, :mod:`repro.sharding`,
-        :mod:`repro.engine.multiplan`). The per-knob keywords are
-        deprecated and map onto the equivalent policy. Returns timed
-        results keyed by visualization id.
+        :mod:`repro.engine.multiplan`). Returns timed results keyed by
+        visualization id.
         """
-        from repro.execution import ExecutionPolicy, resolve_policy
+        from repro.execution import ExecutionPolicy, coerce_policy
         from repro.telemetry import trace as _trace
 
-        policy = resolve_policy(
-            policy,
-            api="DashboardState.refresh",
-            default=ExecutionPolicy(),
-            batch=batch,
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-        )
+        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
         refresh = build_refresh(self, viz_ids)
         tracer = _trace.ACTIVE
         if tracer is None:
@@ -249,9 +238,7 @@ class DashboardState:
             return results
 
     def apply_and_refresh(
-        self, interaction: Interaction, engine, policy=None, *,
-        batch: bool | None = None, workers: int | None = None,
-        shards: int | None = None, multiplan: bool | None = None,
+        self, interaction: Interaction, engine, policy=None
     ):
         """Apply an interaction and execute its fan-out as one batch.
 
@@ -260,17 +247,9 @@ class DashboardState:
         live dashboard backend takes on each user gesture. Returns
         timed results keyed by visualization id.
         """
-        from repro.execution import ExecutionPolicy, resolve_policy
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        policy = resolve_policy(
-            policy,
-            api="DashboardState.apply_and_refresh",
-            default=ExecutionPolicy(),
-            batch=batch,
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-        )
+        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
         affected = self.apply_affected(interaction)
         return self.refresh(engine, viz_ids=affected, policy=policy)
 

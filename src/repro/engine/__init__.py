@@ -28,9 +28,10 @@ execution, positionally aligned with the input::
 
     results = engine.execute_batch(state.initial_queries())
 
-With ``multiplan=True``, an *unfiltered* group's fusion classes — the
-initial render's one-scan-per-GROUP-BY shape — additionally evaluate
-in one combined pass per table (:mod:`repro.engine.multiplan`).
+With ``ExecutionPolicy(multiplan=True)``, an *unfiltered* group's
+fusion classes — the initial render's one-scan-per-GROUP-BY shape —
+additionally evaluate in one combined pass per table
+(:mod:`repro.engine.multiplan`).
 
 :class:`CachedEngine` additionally caches whole scan groups
 (:class:`~repro.engine.cache.ScanGroupCache`), invalidated per table on
@@ -40,7 +41,7 @@ whole stack as one :class:`~repro.execution.ExecutionPolicy` value:
 ``engine.execute_batch(queries, policy)``,
 ``SessionConfig(policy=...)``, ``BenchmarkConfig(policy=...)``,
 ``replay_log(..., policy=...)``, and ``--policy PRESET`` on both CLIs
-(the per-knob keywords remain as a deprecation shim).
+(the per-knob keywords were removed in 2.0.0).
 """
 
 from repro.engine.batch import BatchExecutor, BatchResult, BatchStats

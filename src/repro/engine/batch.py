@@ -335,17 +335,11 @@ class BatchExecutor:
         *,
         group_cache=None,
         fallback_engine: Engine | None = None,
-        multiplan: bool | None = None,
     ) -> None:
         from repro.errors import ConfigError
-        from repro.execution import ExecutionPolicy, resolve_policy
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        policy = resolve_policy(
-            policy,
-            api="BatchExecutor",
-            default=ExecutionPolicy(),
-            multiplan=multiplan,
-        )
+        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
         if not policy.batch:
             raise ConfigError(
                 "BatchExecutor is the shared-scan path; a batch=False "
@@ -355,15 +349,13 @@ class BatchExecutor:
         self.engine = engine
         self.group_cache = group_cache
         #: The executor's execution policy. Plain ``BatchExecutor``
-        #: consumes only ``multiplan``; the concurrency subclass
+        #: consumes only ``multiplan`` — an unfiltered group's fusion
+        #: classes evaluate in one combined pass
+        #: (:mod:`repro.engine.multiplan`); ``False`` (the default) is
+        #: the exact pre-multiplan path. The concurrency subclass
         #: (:class:`~repro.concurrency.executor.ScanGroupExecutor`)
         #: schedules ``workers`` and ``shards`` too.
         self.policy = policy
-        #: Evaluate an unfiltered group's fusion classes in one
-        #: combined pass (:mod:`repro.engine.multiplan`) instead of one
-        #: execution per class. ``False`` (the default) is the exact
-        #: pre-multiplan path — the evaluator is not even reached.
-        self.multiplan = policy.multiplan
         #: The caller-facing engine: unbatchable queries (joins,
         #: aliased FROM) execute here, and results are stamped with its
         #: name. A caching wrapper passes itself so fallbacks keep the
@@ -475,7 +467,7 @@ class BatchExecutor:
         predicate = pending[0].query.where
         produced: dict[str, ResultSet] = {}
         shared = False
-        combine = self.multiplan if multiplan is None else multiplan
+        combine = self.policy.multiplan if multiplan is None else multiplan
         if combine and predicate is None and len(classes) > 1:
             # Multi-plan tier: an unfiltered group has no filter to
             # share, so its eligible fusion classes evaluate together

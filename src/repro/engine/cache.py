@@ -376,13 +376,7 @@ class CachedEngine(Engine):
             tracer.tag_query(key, "cache")
 
     def execute_batch(
-        self,
-        queries: list[Query],
-        policy=None,
-        *,
-        workers: int | None = None,
-        shards: int | None = None,
-        multiplan: bool | None = None,
+        self, queries: list[Query], policy=None
     ) -> list[QueryResult]:
         """Batch execution with whole-scan-group caching.
 
@@ -392,11 +386,10 @@ class CachedEngine(Engine):
         executor runs against the *inner* engine so merged/fetch
         queries — whose SQL no caller ever issues directly — don't
         evict useful entries from the per-query LRU. ``policy`` picks
-        the strategy per call (the deprecated per-knob keywords map
-        onto it): with ``workers``, independent scan groups overlap and
-        concurrent identical refreshes single-flight into one
-        computation; with ``shards``, shardable groups fan their base
-        scans out per row-range shard (:mod:`repro.sharding`), the
+        the strategy per call: with ``workers``, independent scan
+        groups overlap and concurrent identical refreshes single-flight
+        into one computation; with ``shards``, shardable groups fan
+        their base scans out per row-range shard (:mod:`repro.sharding`), the
         rolled-up results landing in the same scan-group cache; with
         ``multiplan``, an unfiltered group's fusion classes evaluate in
         one combined pass (:mod:`repro.engine.multiplan`), every
@@ -404,16 +397,9 @@ class CachedEngine(Engine):
         ``batch=False`` policy executes per query through the wrapper
         itself, so the per-query LRU keeps answering repeats.
         """
-        from repro.execution import ExecutionPolicy, resolve_policy
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        policy = resolve_policy(
-            policy,
-            api="CachedEngine.execute_batch",
-            default=ExecutionPolicy(),
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-        )
+        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
         if not policy.batch:
             # One sequential-policy dispatch for the whole stack;
             # executing through the wrapper keeps the per-query LRU.

@@ -282,13 +282,7 @@ class Engine(abc.ABC):
         )
 
     def execute_batch(
-        self,
-        queries: list[Query],
-        policy=None,
-        *,
-        workers: int | None = None,
-        shards: int | None = None,
-        multiplan: bool | None = None,
+        self, queries: list[Query], policy=None
     ) -> list[QueryResult]:
         """Execute a batch of queries under one execution policy.
 
@@ -315,20 +309,10 @@ class Engine(abc.ABC):
           in a single combined pass per group
           (:mod:`repro.engine.multiplan`), composing with both knobs
           above.
-
-        The per-knob keywords are deprecated; they map onto the
-        equivalent policy (:func:`~repro.execution.resolve_policy`).
         """
-        from repro.execution import ExecutionPolicy, resolve_policy
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        policy = resolve_policy(
-            policy,
-            api="Engine.execute_batch",
-            default=ExecutionPolicy(),
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-        )
+        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
         if not policy.batch:
             # execute_all is the one sequential-policy dispatch: a
             # plain per-query loop at workers=1, an overlapped ordered

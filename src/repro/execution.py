@@ -7,8 +7,9 @@ was threaded as its own keyword through every layer from
 :meth:`~repro.engine.interface.Engine.execute_batch` up to the CLIs.
 :class:`ExecutionPolicy` replaces that per-knob threading with one frozen
 value that travels the stack intact: every entry point takes
-``policy=``, and the old keywords survive only as a deprecation shim
-(:func:`resolve_policy`) that maps them onto an equivalent policy.
+``policy=`` (a policy or a preset name, :func:`coerce_policy`), and it
+is the only input that says how a batch executes. The per-knob
+keywords were removed in 2.0.0.
 
 Every knob combination still produces byte-identical results — the
 policy changes *how* a refresh executes, never *what* it returns
@@ -19,22 +20,16 @@ contract).
 Validation happens once, at construction: ``shards > 1`` or
 ``multiplan=True`` without ``batch`` used to silently no-op ten layers
 down (there are no scan groups to shard or combine outside batch mode);
-``ExecutionPolicy`` now refuses the combination with a
-:class:`~repro.errors.ConfigError`. The deprecated-kwarg shim instead
-*warns* and drops the inert knobs, preserving the old observable
-behavior for legacy callers.
+``ExecutionPolicy`` refuses the combination with a
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigError
-
-#: The knob fields, in threading order (and the legacy keyword names).
-POLICY_KNOBS = ("batch", "workers", "shards", "multiplan")
 
 #: Accepted ``backend`` values: in-process thread pools, or worker
 #: processes fed via shared memory (:mod:`repro.concurrency.procpool`).
@@ -275,48 +270,6 @@ def _auto_workers() -> int:
     )
 
 
-def policy_from_knobs(
-    batch: bool = True,
-    workers: int = 1,
-    shards: int = 1,
-    multiplan: bool = False,
-    *,
-    backend: str = "threads",
-    warn_ignored: bool = True,
-    stacklevel: int = 2,
-) -> ExecutionPolicy:
-    """The policy equivalent to a legacy knob combination.
-
-    Preserves the old stack's observable semantics: ``shards > 1`` or
-    ``multiplan=True`` without ``batch`` used to silently do nothing
-    (sequential execution has no scan groups), so the equivalent policy
-    drops them — audibly, unless ``warn_ignored=False`` (internal
-    equivalence checks compare silently).
-    """
-    if not batch and (shards > 1 or multiplan):
-        if warn_ignored:
-            ignored = []
-            if shards > 1:
-                ignored.append(f"shards={shards}")
-            if multiplan:
-                ignored.append("multiplan=True")
-            warnings.warn(
-                f"{' and '.join(ignored)} ignored without batch=True "
-                f"(sequential execution has no scan groups to shard or "
-                f"combine); pass an ExecutionPolicy to make this an error",
-                UserWarning,
-                stacklevel=stacklevel,
-            )
-        shards, multiplan = 1, False
-    return ExecutionPolicy(
-        batch=batch,
-        workers=workers,
-        shards=shards,
-        multiplan=multiplan,
-        backend=backend if batch else "threads",
-    )
-
-
 def coerce_policy(policy: "ExecutionPolicy | str") -> ExecutionPolicy:
     """Accept a policy or a preset name (the CLI/config surface)."""
     if isinstance(policy, str):
@@ -327,50 +280,6 @@ def coerce_policy(policy: "ExecutionPolicy | str") -> ExecutionPolicy:
             f"got {policy!r}"
         )
     return policy
-
-
-def resolve_policy(
-    policy: "ExecutionPolicy | str | None",
-    *,
-    api: str,
-    default: ExecutionPolicy | None = None,
-    stacklevel: int = 3,
-    **knobs: object,
-) -> ExecutionPolicy:
-    """One entry point's ``policy=`` / deprecated-kwarg resolution.
-
-    ``knobs`` are the legacy keywords the entry point still accepts,
-    with ``None`` meaning "not passed". Exactly one style may be used
-    per call: a policy (object or preset name), or legacy knobs (which
-    warn :class:`DeprecationWarning` at the *caller's* location —
-    ``stacklevel=3`` assumes ``resolve_policy`` is called directly by
-    the public entry point). With neither, ``default`` applies — each
-    entry point passes its historical default so old call sites keep
-    their exact behavior.
-    """
-    given = {k: v for k, v in knobs.items() if v is not None}
-    if policy is not None:
-        if given:
-            raise ConfigError(
-                f"{api}: pass either policy= or the deprecated "
-                f"{', '.join(sorted(given))} keyword(s), not both"
-            )
-        return coerce_policy(policy)
-    base = default if default is not None else ExecutionPolicy()
-    if not given:
-        return base
-    warnings.warn(
-        f"{api}: the {', '.join(sorted(given))} keyword(s) are "
-        f"deprecated; pass policy=repro.ExecutionPolicy(...) (or a "
-        f"preset such as ExecutionPolicy.concurrent(4)) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    merged = base.knobs()
-    merged.update(given)
-    # One more frame than our own warning: policy_from_knobs warns from
-    # inside its own call.
-    return policy_from_knobs(stacklevel=stacklevel + 1, **merged)
 
 
 def compose_cli_policy(
@@ -385,11 +294,11 @@ def compose_cli_policy(
 ) -> ExecutionPolicy | None:
     """Compose a CLI's ``--policy`` preset with explicit per-knob flags.
 
-    The individual flags remain first-class CLI surface (not
-    deprecated): each one given overrides the corresponding preset
-    field, starting from ``base`` (the CLI's historical default) when
-    no preset was named. Returns ``None`` when the caller passed
-    nothing at all, so the downstream config's own default applies.
+    The individual flags are first-class CLI surface: each one given
+    overrides the corresponding preset field, starting from ``base``
+    (the CLI's historical default) when no preset was named. Returns
+    ``None`` when the caller passed nothing at all, so the downstream
+    config's own default applies.
     Invalid compositions (``--shards 4`` without batch mode) raise
     :class:`~repro.errors.ConfigError` — the old stack's silent no-op,
     made audible.
@@ -414,83 +323,12 @@ def compose_cli_policy(
     return base.evolve(**flags) if flags else base
 
 
-def reconcile_config_policy(
-    policy: "ExecutionPolicy | str | None",
-    knobs: dict[str, object],
-    *,
-    defaults: dict[str, object],
-    api: str,
-    stacklevel: int = 4,
-) -> tuple[ExecutionPolicy, dict[str, object]]:
-    """Policy resolution for config dataclasses with legacy knob *fields*.
-
-    Unlike function keywords, :class:`SessionConfig`-style configs give
-    their legacy knob fields real defaults, so "not passed" means
-    "equal to the default". Returns ``(policy, field_values)``: the
-    effective policy plus the values the legacy fields should carry —
-    the caller's own values when it set any (so old readers observe
-    exactly what was written, even for combinations the old stack
-    silently ignored), the policy's values otherwise.
-
-    A policy alongside *conflicting* legacy values is a
-    :class:`~repro.errors.ConfigError`; alongside *equivalent* values
-    it is accepted silently, which keeps ``dataclasses.replace``
-    round-trips (policy and mirrored fields travel together) warning-free.
-    """
-    given = {k: v for k, v in knobs.items() if v != defaults[k]}
-    if policy is None:
-        if not given:
-            return ExecutionPolicy(**knobs), dict(knobs)
-        warnings.warn(
-            f"{api}: setting {', '.join(sorted(given))} directly is "
-            f"deprecated; pass policy=repro.ExecutionPolicy(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return (
-            policy_from_knobs(stacklevel=stacklevel + 1, **knobs),
-            dict(knobs),
-        )
-    resolved = coerce_policy(policy)
-    if given:
-        # A knob equal to the policy's own field is its mirror riding
-        # along, not a conflict. A mismatched one is still accepted
-        # when the whole knob combination is *equivalent* to the
-        # policy after the legacy downgrade (the silently-ignored
-        # shards/multiplan-without-batch shape keeps its written field
-        # values). Only a combination that would execute differently
-        # conflicts.
-        mismatched = {
-            k: v for k, v in given.items() if v != getattr(resolved, k)
-        }
-        if mismatched:
-            equivalent = policy_from_knobs(warn_ignored=False, **knobs)
-            if equivalent != resolved:
-                raise ConfigError(
-                    f"{api}: policy= conflicts with the deprecated "
-                    f"{', '.join(sorted(mismatched))} field(s); set only "
-                    f"policy"
-                )
-        # Fields the caller set keep their written values; unset ones
-        # mirror the policy, so reads stay coherent either way. Only
-        # the caller's own knob keys come back — the configs mirror the
-        # legacy fields, not newer policy fields like ``backend``.
-        merged = {k: getattr(resolved, k) for k in knobs}
-        merged.update(given)
-        return resolved, merged
-    return resolved, {k: getattr(resolved, k) for k in knobs}
-
-
 __all__ = [
     "AUTO_MAX_WORKERS",
     "AUTO_MIN_WORKERS",
     "AUTO_ROWS_PER_SHARD",
     "BACKENDS",
     "ExecutionPolicy",
-    "POLICY_KNOBS",
     "coerce_policy",
     "compose_cli_policy",
-    "policy_from_knobs",
-    "reconcile_config_policy",
-    "resolve_policy",
 ]

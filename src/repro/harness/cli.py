@@ -146,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{exc} — on this CLI, add --batch or pick a batch "
                      f"--policy preset")
     print(f"execution policy: {config.policy.describe()}")
-    if config.workers > 1:
-        print(f"grid-cell overlap: {config.workers} workers")
+    if config.policy.workers > 1:
+        print(f"grid-cell overlap: {config.policy.workers} workers")
     runner = BenchmarkRunner(config, log_directory=args.export_logs)
     telemetry = None
     if args.trace is not None:

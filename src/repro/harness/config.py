@@ -49,34 +49,16 @@ class BenchmarkConfig:
     reference_rows: int = 2_000
     #: The execution policy for the whole experiment: an
     #: :class:`~repro.execution.ExecutionPolicy` (or preset name, the
-    #: CLI's ``--policy``). Two effects, matching the old per-knob
-    #: semantics: ``policy.workers`` also sizes the runner's pool for
-    #: overlapping independent engine x run grid cells, and the policy
-    #: merges knob-wise into ``session.policy`` (an explicitly
-    #: configured session keeps its own settings — the session config
-    #: stays the single source of truth downstream). ``None`` defers
-    #: entirely to the session. After construction this field holds
-    #: the sessions' effective policy; results are identical for every
-    #: policy — only wall-clock and the *measured* durations change
-    #: (overlapped queries contend for cores).
+    #: CLI's ``--policy``); ``None`` means ``ExecutionPolicy.serial()``.
+    #: Two effects: ``policy.workers`` sizes the runner's pool for
+    #: overlapping independent engine x run grid cells, and a
+    #: ``session`` left at its default policy takes this one (an
+    #: explicitly configured session keeps its own — the session config
+    #: is the single source of truth downstream). After construction
+    #: this field holds a resolved ``ExecutionPolicy``; results are
+    #: identical for every policy — only wall-clock and the *measured*
+    #: durations change (overlapped queries contend for cores).
     policy: object = None
-    #: Deprecated (use ``policy``): shared-scan batch execution (the
-    #: CLI's ``--batch`` / ``--no-batch``). Mirrors ``session.batch``
-    #: after construction.
-    batch: bool = False
-    #: Deprecated (use ``policy``): worker-pool width (the CLI's
-    #: ``--workers``) — grid-cell overlap plus the sessions' default
-    #: fan-out width. Setting only ``session.workers`` does *not* turn
-    #: on cell overlap; this field keeps the runner's own value.
-    workers: int = 1
-    #: Deprecated (use ``policy``): row-range shards per scan group
-    #: (the CLI's ``--shards``). Mirrors ``session.shards`` after
-    #: construction.
-    shards: int = 1
-    #: Deprecated (use ``policy``): combined-pass evaluation of
-    #: unfiltered scan groups (the CLI's ``--multiplan``). Mirrors
-    #: ``session.multiplan`` after construction.
-    multiplan: bool = False
     #: Fixed-duration sessions by default: each goal segment runs its
     #: full step budget even if the goal completes early, matching the
     #: paper's time-boxed exploration studies and keeping per-dashboard
@@ -86,11 +68,6 @@ class BenchmarkConfig:
             run_to_max=True, max_steps_per_goal=12, stall_limit=8
         )
     )
-
-    #: The deprecated knob fields' defaults; "set" means "differs".
-    _KNOB_DEFAULTS = {
-        "batch": False, "workers": 1, "shards": 1, "multiplan": False,
-    }
 
     def __post_init__(self) -> None:
         known_engines = set(available_engines())
@@ -109,57 +86,16 @@ class BenchmarkConfig:
             raise ConfigError("at least one dataset size is required")
         from dataclasses import replace
 
-        from repro.execution import (
-            POLICY_KNOBS,
-            policy_from_knobs,
-            reconcile_config_policy,
-        )
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        resolved, own = reconcile_config_policy(
-            self.policy,
-            {k: getattr(self, k) for k in POLICY_KNOBS},
-            defaults=self._KNOB_DEFAULTS,
-            api="BenchmarkConfig",
-        )
-        # Merge the config's knobs into the session's, knob-wise: each
-        # knob the session left at its default follows the config (the
-        # pre-policy mirroring semantics). ``backend`` has no legacy
-        # mirror field, so it rides on the resolved policies directly.
-        # ``workers`` additionally stays the runner's own cell
-        # concurrency.
-        merged = {k: getattr(self.session, k) for k in POLICY_KNOBS}
-        if own["batch"] and not merged["batch"]:
-            merged["batch"] = True
-        if own["workers"] > 1 and merged["workers"] == 1:
-            merged["workers"] = own["workers"]
-        if own["shards"] > 1 and merged["shards"] == 1:
-            merged["shards"] = own["shards"]
-        if own["multiplan"] and not merged["multiplan"]:
-            merged["multiplan"] = True
-        backend = self.session.policy.backend
-        if backend == "threads" and resolved.backend != "threads":
-            backend = resolved.backend
-        session_knobs = {k: getattr(self.session, k) for k in POLICY_KNOBS}
-        if merged != session_knobs or backend != self.session.policy.backend:
+        serial = ExecutionPolicy.serial()
+        policy = serial if self.policy is None else coerce_policy(self.policy)
+        object.__setattr__(self, "policy", policy)
+        if self.session.policy == serial and policy != serial:
+            # A session left at its default follows the experiment.
             object.__setattr__(
-                self,
-                "session",
-                replace(
-                    self.session,
-                    policy=policy_from_knobs(
-                        warn_ignored=False, backend=backend, **merged
-                    ),
-                    **merged,
-                ),
+                self, "session", replace(self.session, policy=policy)
             )
-        # The session is the single source of truth downstream: this
-        # config's policy and knob mirrors all read back from it.
-        # ``workers`` keeps the runner's own cell concurrency.
-        object.__setattr__(self, "policy", self.session.policy)
-        object.__setattr__(self, "batch", self.session.batch)
-        object.__setattr__(self, "workers", own["workers"])
-        object.__setattr__(self, "shards", self.session.shards)
-        object.__setattr__(self, "multiplan", self.session.multiplan)
 
     @classmethod
     def paper_scale(cls) -> "BenchmarkConfig":

@@ -10,7 +10,7 @@ records every query duration. Datasets are generated once per
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.dashboard.library import load_dashboard
 from repro.engine.interface import Engine
@@ -18,7 +18,7 @@ from repro.engine.registry import create_engine
 from repro.engine.table import Table
 from repro.harness.config import BenchmarkConfig
 from repro.metrics.report import DurationSummary, duration_summary
-from repro.simulation.session import SessionConfig, SessionSimulator
+from repro.simulation.session import SessionSimulator
 from repro.simulation.workflows import WorkflowNotApplicable, get_workflow
 from repro.workload.datasets import generate_dataset
 
@@ -115,7 +115,7 @@ class BenchmarkRunner:
         correlation-bearing workflows) are recorded in ``skipped`` —
         the same incompatibility the paper reports in §6.2.3.
 
-        With ``config.workers > 1``, the independent engine x run cells
+        With ``config.policy.workers > 1``, the independent engine x run cells
         of each dashboard overlap across a worker pool: sessions on
         thread-safe engines (SQLite's per-thread connections) run fully
         concurrently, while cells sharing a pure-Python engine
@@ -169,7 +169,7 @@ class BenchmarkRunner:
                                 size_label, num_rows, run_index,
                             ))
                 for run_result in run_tasks(
-                    cells, workers=self.config.workers
+                    cells, workers=self.config.policy.workers
                 ):
                     result.runs.append(run_result)
                     if progress:
@@ -227,17 +227,8 @@ class BenchmarkRunner:
     ) -> RunResult:
         reference_engine = create_engine("vectorstore")
         reference_engine.load_table(reference)
-        session_config = SessionConfig(
-            p_markov_initial=self.config.session.p_markov_initial,
-            decay_rate=self.config.session.decay_rate,
-            max_steps_per_goal=self.config.session.max_steps_per_goal,
-            max_total_steps=self.config.session.max_total_steps,
-            stall_limit=self.config.session.stall_limit,
-            markov_preset=self.config.session.markov_preset,
-            lookahead=self.config.session.lookahead,
-            run_to_max=self.config.session.run_to_max,
-            policy=self.config.session.policy,
-            seed=self.config.seed * 1_000 + run_index,
+        session_config = replace(
+            self.config.session, seed=self.config.seed * 1_000 + run_index
         )
         simulator = SessionSimulator(
             spec,

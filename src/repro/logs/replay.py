@@ -60,11 +60,6 @@ def replay_log(
     check_cardinality: bool = True,
     strict: bool = False,
     policy=None,
-    *,
-    batch: bool | None = None,
-    workers: int | None = None,
-    shards: int | None = None,
-    multiplan: bool | None = None,
 ) -> ReplayReport:
     """Re-execute every query in ``log`` against ``engine``.
 
@@ -75,8 +70,7 @@ def replay_log(
     ``policy`` (an :class:`~repro.execution.ExecutionPolicy` or preset
     name) picks the replay strategy; the default is the historical
     sequential replay — ``ExecutionPolicy.serial()``, one engine call
-    per logged query, in order. The per-knob keywords are deprecated
-    and map onto the equivalent policy.
+    per logged query, in order.
 
     A batch policy replays each interaction's fan-out — the
     consecutive entries sharing one ``step`` — as a single unit
@@ -93,16 +87,10 @@ def replay_log(
     raising moves from mid-execution to the recording pass, since
     overlapped queries have already run when checks happen.
     """
-    from repro.execution import ExecutionPolicy, resolve_policy
+    from repro.execution import ExecutionPolicy, coerce_policy
 
-    policy = resolve_policy(
-        policy,
-        api="replay_log",
-        default=ExecutionPolicy.serial(),
-        batch=batch,
-        workers=workers,
-        shards=shards,
-        multiplan=multiplan,
+    policy = (
+        ExecutionPolicy.serial() if policy is None else coerce_policy(policy)
     )
     report = ReplayReport(engine=engine.name)
 

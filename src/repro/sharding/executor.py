@@ -663,7 +663,7 @@ def plan_sharded_group(
     immediately (into ``results``/``stats``, mirroring the unsharded
     path) and only the remaining members are planned for execution.
 
-    ``multiplan`` (``None`` defers to ``executor.multiplan``) upgrades
+    ``multiplan`` (``None`` defers to ``executor.policy.multiplan``) upgrades
     a group of two or more combinable classes to a
     :class:`MultiPlanShardedRun` — one combined pass per shard instead
     of one partial query per (class, shard); anything the combined
@@ -696,11 +696,7 @@ def plan_sharded_group(
         pending = executor._serve_cached(signature, pending, results, stats)
     classes = fuse_members(pending)
     stats.fused_queries += len(pending) - len(classes)
-    combine = (
-        getattr(executor, "multiplan", False)
-        if multiplan is None
-        else multiplan
-    )
+    combine = executor.policy.multiplan if multiplan is None else multiplan
     # The multiplan tier covers *unfiltered* groups only, here exactly
     # as in the unsharded executor — filtered groups keep the per-class
     # rollup (combined passes over filtered groups are ROADMAP future

@@ -66,59 +66,23 @@ class SessionConfig:
     #: :class:`~repro.execution.ExecutionPolicy` (or preset name).
     #: ``None`` resolves to the historical sequential default —
     #: ``ExecutionPolicy.serial()``, one engine call per query, the
-    #: paper's setup — unless the deprecated per-knob fields below are
-    #: set, in which case they map onto the equivalent policy. After
-    #: construction this field always holds a resolved
-    #: ``ExecutionPolicy``; results are byte-identical for every
-    #: policy (:mod:`repro.concurrency`, :mod:`repro.sharding`,
-    #: :mod:`repro.engine.multiplan`).
+    #: paper's setup. After construction this field always holds a
+    #: resolved ``ExecutionPolicy``; results are byte-identical for
+    #: every policy (:mod:`repro.concurrency`, :mod:`repro.sharding`,
+    #: :mod:`repro.engine.multiplan`). Swap it with
+    #: ``dataclasses.replace(config, policy=...)``.
     policy: object = None
-    #: Deprecated (use ``policy``): route each fan-out through the
-    #: shared-scan optimizer
-    #: (:meth:`~repro.engine.interface.Engine.execute_batch`).
-    batch: bool = False
-    #: Deprecated (use ``policy``): worker-pool width for each
-    #: interaction's fan-out.
-    workers: int = 1
-    #: Deprecated (use ``policy``): row-range shards per scan group
-    #: (:mod:`repro.sharding`).
-    shards: int = 1
-    #: Deprecated (use ``policy``): combined-pass evaluation of
-    #: unfiltered scan groups (:mod:`repro.engine.multiplan`).
-    multiplan: bool = False
     seed: int = 0
 
-    #: The deprecated knob fields' defaults (the pre-policy sequential
-    #: behavior); "set" means "differs from these".
-    _KNOB_DEFAULTS = {
-        "batch": False, "workers": 1, "shards": 1, "multiplan": False,
-    }
-
     def __post_init__(self) -> None:
-        from repro.execution import POLICY_KNOBS, reconcile_config_policy
+        from repro.execution import ExecutionPolicy, coerce_policy
 
-        policy, fields_ = reconcile_config_policy(
-            self.policy,
-            {k: getattr(self, k) for k in POLICY_KNOBS},
-            defaults=self._KNOB_DEFAULTS,
-            api="SessionConfig",
+        policy = (
+            ExecutionPolicy.serial()
+            if self.policy is None
+            else coerce_policy(self.policy)
         )
         object.__setattr__(self, "policy", policy)
-        for name, value in fields_.items():
-            object.__setattr__(self, name, value)
-
-    def with_policy(self, policy) -> "SessionConfig":
-        """A copy executing under ``policy`` (fields re-mirrored)."""
-        from dataclasses import replace
-
-        from repro.execution import POLICY_KNOBS, coerce_policy
-
-        policy = coerce_policy(policy)
-        return replace(
-            self,
-            policy=policy,
-            **{k: getattr(policy, k) for k in POLICY_KNOBS},
-        )
 
     def p_markov(self, step: int) -> float:
         """Probability of using the Markov model at global step ``step``."""

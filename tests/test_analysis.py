@@ -191,22 +191,12 @@ POLICY_FLAGGED = """
 """
 
 POLICY_CLEAN = """
+    from dataclasses import replace
+
     def tweak(policy, cfg):
         scaled = policy.evolve(workers=4)
-        cfg = cfg.with_policy(scaled.evolve(shards=2))
+        cfg = replace(cfg, policy=scaled.evolve(shards=2))
         return cfg
-"""
-
-KWARG_FLAGGED = """
-    def refresh_all(engine, plan):
-        engine.execute_batch(plan, workers=4, shards=2)
-        plan.refresh(multiplan=True)
-"""
-
-KWARG_CLEAN = """
-    def refresh_all(engine, plan, policy):
-        engine.execute_batch(plan, policy=policy)
-        plan.refresh(policy=policy.evolve(multiplan=True))
 """
 
 THREAD_FLAGGED = """
@@ -228,7 +218,6 @@ FIXTURES = {
     "RA102": (TELEMETRY_FLAGGED, TELEMETRY_CLEAN),
     "RA103": (SHM_FLAGGED, SHM_CLEAN),
     "RA104": (POLICY_FLAGGED, POLICY_CLEAN),
-    "RA105": (KWARG_FLAGGED, KWARG_CLEAN),
     "RA106": (THREAD_FLAGGED, THREAD_CLEAN),
 }
 
@@ -238,7 +227,6 @@ SUPPRESS_AT = {
     "RA102": 'tracer.tag_query("q", "cache")',
     "RA103": 'create=True, size=size)',
     "RA104": 'object.__setattr__(policy, "workers", 4)',
-    "RA105": "engine.execute_batch(plan, workers=4, shards=2)",
     "RA106": "worker = threading.Thread(target=fn, daemon=True)",
 }
 
@@ -384,11 +372,9 @@ def test_fingerprint_survives_line_moves(tmp_path):
     assert first.findings[0].line != second.findings[0].line
 
 
-def test_registry_lists_all_six_rules():
+def test_registry_lists_all_five_rules():
     codes = [rule.code for rule in all_rules()]
-    assert codes == [
-        "RA101", "RA102", "RA103", "RA104", "RA105", "RA106",
-    ]
+    assert codes == ["RA101", "RA102", "RA103", "RA104", "RA106"]
 
 
 def test_register_rejects_duplicate_codes():

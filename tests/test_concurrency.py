@@ -40,6 +40,7 @@ from repro.engine.instrument import CountingEngine, DispatchLatencyEngine
 from repro.engine.interface import Engine, ResultSet
 from repro.engine.registry import create_engine
 from repro.engine.table import Table
+from repro.execution import ExecutionPolicy
 from repro.sql.parser import parse_query
 from repro.workload.datasets import generate_dataset
 
@@ -184,7 +185,7 @@ def test_dashboard_walk_workers4_identical(engine_name, dashboard):
         walks.append(state.apply(rng.choice(preferred)))
     for step, queries in enumerate(walks):
         sequential = [engine.execute(q) for q in queries]
-        concurrent = engine.execute_batch(queries, workers=4)
+        concurrent = engine.execute_batch(queries, ExecutionPolicy(workers=4))
         _assert_identical(
             sequential, concurrent,
             f"{engine_name}/{dashboard} step {step}",
@@ -203,7 +204,7 @@ def test_random_mix_workers4_identical(engine_name, seed):
     engine.load_table(_events_table())
     queries = [_random_query(rng) for _ in range(18)]
     sequential = [engine.execute(q) for q in queries]
-    concurrent = engine.execute_batch(queries, workers=4)
+    concurrent = engine.execute_batch(queries, ExecutionPolicy(workers=4))
     _assert_identical(
         sequential, concurrent, f"{engine_name} seed={seed} workers=4"
     )
@@ -227,7 +228,9 @@ def test_workers1_takes_the_sequential_path_exactly():
     plain = create_engine("vectorstore")
     plain.load_table(_events_table())
     reference = BatchExecutor(plain).run(list(queries))
-    concurrent = ScanGroupExecutor(plain, workers=1).run(list(queries))
+    concurrent = ScanGroupExecutor(plain, ExecutionPolicy(workers=1)).run(
+        list(queries)
+    )
     _assert_identical(
         [t.result for t in reference.results], concurrent.results, "workers=1"
     )
@@ -255,12 +258,12 @@ def test_cached_engine_batch_workers_identical_and_invalidating():
     ]
     sequential = [engine.execute(q) for q in queries]
     for _ in range(2):  # second round exercises the scan-group cache
-        concurrent = engine.execute_batch(queries, workers=4)
+        concurrent = engine.execute_batch(queries, ExecutionPolicy(workers=4))
         _assert_identical(sequential, concurrent, "cached workers=4")
     # Mutation invalidates; the next batch reflects the new data.
     engine.load_table(_events_table(rows=100, seed=8))
     fresh = [engine.execute(q) for q in queries]
-    concurrent = engine.execute_batch(queries, workers=4)
+    concurrent = engine.execute_batch(queries, ExecutionPolicy(workers=4))
     _assert_identical(fresh, concurrent, "cached workers=4 after reload")
     engine.close()
 
@@ -337,7 +340,7 @@ def test_sqlite_batch_shared_scans_in_worker_threads():
     ]
     sequential = [engine.execute(q) for q in queries]
     for _ in range(3):
-        concurrent = engine.execute_batch(queries, workers=4)
+        concurrent = engine.execute_batch(queries, ExecutionPolicy(workers=4))
         _assert_identical(sequential, concurrent, "sqlite shared scans")
     engine.close()
 
@@ -460,12 +463,12 @@ def test_cached_engine_reuses_persistent_pool():
         )
         for p in (1, 2, 3)
     ]
-    engine.execute_batch(list(queries), workers=3)
+    engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
     pool = engine._batch_executor._pool
     assert pool is not None
     for _ in range(5):
         engine.invalidate()  # force real engine work each round
-        engine.execute_batch(list(queries), workers=3)
+        engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
     assert engine._batch_executor._pool is pool  # same pool, same threads
     # Replicas are bounded by the pool's thread count, not call count.
     assert len(engine.inner._replicas) <= 3
@@ -477,12 +480,14 @@ def test_benchmark_config_session_workers_do_not_enable_cell_overlap():
     from repro.harness.config import BenchmarkConfig
     from repro.simulation.session import SessionConfig
 
-    config = BenchmarkConfig(session=SessionConfig(workers=4))
-    assert config.workers == 1  # runner stays sequential
-    assert config.session.workers == 4
-    mirrored = BenchmarkConfig(workers=3)
-    assert mirrored.workers == 3
-    assert mirrored.session.workers == 3  # default sessions follow
+    fan_out = ExecutionPolicy(batch=False, workers=4)
+    config = BenchmarkConfig(session=SessionConfig(policy=fan_out))
+    assert config.policy.workers == 1  # runner stays sequential
+    assert config.session.policy == fan_out
+    overlapped = ExecutionPolicy(batch=False, workers=3)
+    mirrored = BenchmarkConfig(policy=overlapped)
+    assert mirrored.policy.workers == 3
+    assert mirrored.session.policy == overlapped  # default sessions follow
 
 
 def test_sqlite_inflight_temp_survives_concurrent_base_load():
@@ -543,7 +548,7 @@ def test_sqlite_replicas_reclaimed_with_pool_threads():
         for p in (1, 2, 3)
     ]
     for _ in range(12):
-        engine.execute_batch(list(queries), workers=3)
+        engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
     gc.collect()
     # Live replicas are bounded by currently-live worker threads (zero
     # here — every per-call pool has shut down).
@@ -968,8 +973,13 @@ def test_replay_workers_identical(tmp_path):
     replay_engine = create_engine("sqlite")
     replay_engine.load_table(table)
     for batch in (False, True):
-        seq = replay_log(log, replay_engine, batch=batch, workers=1)
-        conc = replay_log(log, replay_engine, batch=batch, workers=4)
+        seq = replay_log(
+            log, replay_engine, policy=ExecutionPolicy(batch=batch)
+        )
+        conc = replay_log(
+            log, replay_engine,
+            policy=ExecutionPolicy(batch=batch, workers=4),
+        )
         assert seq.matched and conc.matched
         assert [r.rows_returned for r in seq.results] == [
             r.rows_returned for r in conc.results
@@ -999,7 +1009,7 @@ def test_latency_engine_overlaps_round_trips():
     sequential = [engine.execute(q) for q in queries]
 
     start = time.perf_counter()
-    concurrent = engine.execute_batch(queries, workers=4)
+    concurrent = engine.execute_batch(queries, ExecutionPolicy(workers=4))
     overlapped_s = time.perf_counter() - start
     _assert_identical(sequential, concurrent, "latency engine")
     # 4 groups x 20 ms round trip each: sequential pays >= 80 ms,

@@ -25,6 +25,7 @@ from repro.engine.batch import (
 from repro.engine.instrument import CountingEngine
 from repro.engine.registry import create_engine
 from repro.engine.table import Table
+from repro.execution import ExecutionPolicy
 from repro.sql.ast import (
     Between,
     BinaryOp,
@@ -213,8 +214,8 @@ def test_refresh_api_matches_sequential_refresh():
     engine.load_table(table)
     batch_state = DashboardState(spec, table)
     seq_state = DashboardState(spec, table)
-    batched = batch_state.refresh(engine, batch=True)
-    sequential = seq_state.refresh(engine, batch=False)
+    batched = batch_state.refresh(engine, policy=ExecutionPolicy())
+    sequential = seq_state.refresh(engine, policy=ExecutionPolicy.serial())
     assert batched.keys() == sequential.keys()
     for viz_id in batched:
         assert batched[viz_id].result == sequential[viz_id].result, viz_id
@@ -224,8 +225,12 @@ def test_refresh_api_matches_sequential_refresh():
         for a in batch_state.available_interactions()
         if a.kind is InteractionKind.WIDGET_TOGGLE
     )
-    batched = batch_state.apply_and_refresh(action, engine, batch=True)
-    sequential = seq_state.apply_and_refresh(action, engine, batch=False)
+    batched = batch_state.apply_and_refresh(
+        action, engine, policy=ExecutionPolicy()
+    )
+    sequential = seq_state.apply_and_refresh(
+        action, engine, policy=ExecutionPolicy.serial()
+    )
     assert batched.keys() == sequential.keys()
     for viz_id in batched:
         assert batched[viz_id].result == sequential[viz_id].result, viz_id

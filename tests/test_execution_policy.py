@@ -2,23 +2,22 @@
 
 Three contracts under test:
 
-1. **Equivalence** — any knob combination passed through the deprecated
-   per-knob keywords produces byte-identical results to the equivalent
-   :class:`~repro.execution.ExecutionPolicy`, on every redesigned entry
-   point (``execute_batch``, ``DashboardState.refresh``,
-   ``replay_log``). This is the property that makes the deprecation
-   shim safe to ship.
+1. **Equivalence** — every valid
+   :class:`~repro.execution.ExecutionPolicy` produces byte-identical
+   results to ``ExecutionPolicy.serial()`` on every entry point
+   (``execute_batch``, ``DashboardState.refresh``, ``replay_log``).
+   ``policy=`` is the only way to choose one: the pre-policy per-knob
+   keywords are gone.
 2. **Validation** — invalid combinations fail at policy construction
    (``shards > 1`` / ``multiplan`` without batch used to silently
-   no-op ten layers down); the deprecated-kwarg shim instead warns and
-   preserves the old behavior.
+   no-op ten layers down).
 3. **Facade** — ``repro.connect()`` produces exactly what the piecewise
    API produces, with the policy applied session-wide.
 """
 
 from __future__ import annotations
 
-import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +32,8 @@ from repro.execution import (
     AUTO_MIN_WORKERS,
     AUTO_ROWS_PER_SHARD,
     ExecutionPolicy,
+    coerce_policy,
     compose_cli_policy,
-    policy_from_knobs,
-    resolve_policy,
 )
 from repro.logs.records import ExportedLog, LogEntry
 from repro.logs.replay import replay_log
@@ -211,22 +209,12 @@ def test_describe_is_one_line_and_names_the_knobs():
     assert "sequential" in ExecutionPolicy.serial().describe()
 
 
-def test_policy_from_knobs_preserves_legacy_silent_noop_with_a_warning():
-    with pytest.warns(UserWarning, match="ignored without batch"):
-        policy = policy_from_knobs(batch=False, shards=4, multiplan=True)
-    assert policy == ExecutionPolicy.serial()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert policy_from_knobs(
-            batch=False, shards=4, warn_ignored=False
-        ) == ExecutionPolicy.serial()
-
-
-def test_resolve_policy_rejects_mixing_styles():
-    with pytest.raises(ConfigError, match="not both"):
-        resolve_policy(ExecutionPolicy(), api="x", workers=4)
+def test_coerce_policy_rejects_non_policies():
+    policy = ExecutionPolicy(workers=2)
+    assert coerce_policy(policy) is policy
+    assert coerce_policy("serial") == ExecutionPolicy.serial()
     with pytest.raises(ConfigError, match="preset"):
-        resolve_policy(object(), api="x")
+        coerce_policy(object())
 
 
 def test_compose_cli_policy():
@@ -244,7 +232,7 @@ def test_compose_cli_policy():
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: deprecated kwargs == equivalent policy, byte for byte
+# Equivalence: every valid policy == serial(), byte for byte
 # ---------------------------------------------------------------------------
 
 
@@ -266,6 +254,16 @@ def _snapshot(results):
     ]
 
 
+def _valid_policy(batch, workers, shards, multiplan):
+    """The policy for a knob draw; sequential mode has no scan groups to
+    shard or combine, so those knobs only apply with ``batch``."""
+    if not batch:
+        shards, multiplan = 1, False
+    return ExecutionPolicy(
+        batch=batch, workers=workers, shards=shards, multiplan=multiplan
+    )
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     batch=st.booleans(),
@@ -273,50 +271,25 @@ def _snapshot(results):
     shards=st.integers(min_value=1, max_value=3),
     multiplan=st.booleans(),
 )
-def test_property_deprecated_kwargs_match_equivalent_policy(
+def test_property_valid_policies_match_serial(
     batch, workers, shards, multiplan
 ):
-    """Any knob combination == its equivalent policy, byte for byte."""
+    """Any valid policy == serial(), byte for byte — including the
+    sequential path with ``workers > 1``."""
     table = make_calls_table()
     queries = [parse_query(sql) for sql in _REFRESH_SQL]
     engine = create_engine("vectorstore")
     engine.load_table(table)
     try:
-        with warnings.catch_warnings():
-            # The deprecated path warns by design; equivalence is the
-            # property under test here.
-            warnings.simplefilter("ignore")
-            legacy = engine.execute_batch(
-                list(queries),
-                workers=workers,
-                shards=shards,
-                multiplan=multiplan,
-            ) if batch else replay_and_noop_guard(
-                engine, queries, workers, shards, multiplan
-            )
-        equivalent = policy_from_knobs(
-            batch=batch,
-            workers=workers,
-            shards=shards,
-            multiplan=multiplan,
-            warn_ignored=False,
+        serial = engine.execute_batch(
+            list(queries), ExecutionPolicy.serial()
         )
-        via_policy = engine.execute_batch(list(queries), equivalent)
-        assert _snapshot(via_policy) == _snapshot(legacy)
+        via_policy = engine.execute_batch(
+            list(queries), _valid_policy(batch, workers, shards, multiplan)
+        )
+        assert _snapshot(via_policy) == _snapshot(serial)
     finally:
         engine.close()
-
-
-def replay_and_noop_guard(engine, queries, workers, shards, multiplan):
-    """The legacy sequential path: execute_batch had no batch= kwarg, so
-    batch=False rides through the other entry points; at engine level
-    the pre-policy equivalent was per-query execute_timed (workers
-    overlapping)."""
-    from repro.concurrency.sessions import execute_all
-
-    if workers > 1:
-        return execute_all(engine, list(queries), workers=workers)
-    return [engine.execute_timed(q) for q in queries]
 
 
 @pytest.mark.parametrize("batch", [False, True])
@@ -325,29 +298,22 @@ def replay_and_noop_guard(engine, queries, workers, shards, multiplan):
     (3, 1, False),
     (2, 2, True),
 ])
-def test_refresh_deprecated_kwargs_match_policy(
+def test_refresh_policy_matches_serial(
     cs_spec, batch, workers, shards, multiplan
 ):
     table = repro.generate_dataset("customer_service", 300, seed=3)
     engine = create_engine("sqlite")
     engine.load_table(table)
     try:
-        legacy_state = DashboardState(cs_spec, table)
-        policy_state = DashboardState(cs_spec, table)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = legacy_state.refresh(
-                engine, batch=batch, workers=workers, shards=shards,
-                multiplan=multiplan,
-            )
-        equivalent = policy_from_knobs(
-            batch=batch, workers=workers, shards=shards,
-            multiplan=multiplan, warn_ignored=False,
+        serial = DashboardState(cs_spec, table).refresh(
+            engine, policy=ExecutionPolicy.serial()
         )
-        via_policy = policy_state.refresh(engine, policy=equivalent)
+        via_policy = DashboardState(cs_spec, table).refresh(
+            engine, policy=_valid_policy(batch, workers, shards, multiplan)
+        )
         assert {
             viz: (t.result.columns, t.result.rows)
-            for viz, t in legacy.items()
+            for viz, t in serial.items()
         } == {
             viz: (t.result.columns, t.result.rows)
             for viz, t in via_policy.items()
@@ -391,60 +357,79 @@ def _exported_log(engine, table):
     (2, 1, False),
     (2, 3, True),
 ])
-def test_replay_deprecated_kwargs_match_policy(
-    batch, workers, shards, multiplan
-):
+def test_replay_policy_matches_serial(batch, workers, shards, multiplan):
     table = make_calls_table()
     engine = create_engine("vectorstore")
     engine.load_table(table)
     try:
         log = _exported_log(engine, table)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = replay_log(
-                log, engine, batch=batch, workers=workers,
-                shards=shards, multiplan=multiplan,
-            )
-        equivalent = policy_from_knobs(
-            batch=batch, workers=workers, shards=shards,
-            multiplan=multiplan, warn_ignored=False,
+        serial = replay_log(log, engine)  # the default is serial()
+        via_policy = replay_log(
+            log, engine,
+            policy=_valid_policy(batch, workers, shards, multiplan),
         )
-        via_policy = replay_log(log, engine, policy=equivalent)
-        assert legacy.matched and via_policy.matched
-        assert _snapshot(legacy.results) == _snapshot(via_policy.results)
-    finally:
-        engine.close()
-
-
-def test_deprecated_kwargs_warn_and_policy_path_does_not():
-    table = make_calls_table()
-    engine = create_engine("vectorstore")
-    engine.load_table(table)
-    queries = [parse_query(_REFRESH_SQL[0])]
-    try:
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            engine.execute_batch(list(queries), workers=2)
-        with warnings.catch_warnings():
-            # Any warning on the policy path — deprecation or shim —
-            # is a regression.
-            warnings.simplefilter("error")
-            engine.execute_batch(list(queries), ExecutionPolicy(workers=2))
+        assert serial.matched and via_policy.matched
+        assert _snapshot(serial.results) == _snapshot(via_policy.results)
     finally:
         engine.close()
 
 
 def test_mixing_policy_and_deprecated_kwargs_raises():
+    """The per-knob keywords were removed in 2.0.0: passing one is a
+    TypeError, with or without a policy alongside."""
     table = make_calls_table()
     engine = create_engine("vectorstore")
     engine.load_table(table)
     queries = [parse_query(_REFRESH_SQL[0])]
     try:
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError):
+            engine.execute_batch(list(queries), workers=2)
+        with pytest.raises(TypeError):
             engine.execute_batch(
                 list(queries), ExecutionPolicy(), workers=2
             )
     finally:
         engine.close()
+
+
+def test_deprecated_kwargs_warn_and_policy_path_does_not(cs_spec):
+    """The per-knob keywords no longer warn: every entry point rejects
+    them with a TypeError, while the ``policy=`` path stays silent."""
+    import warnings
+
+    table = make_calls_table()
+    engine = create_engine("vectorstore")
+    engine.load_table(table)
+    queries = [parse_query(sql) for sql in _REFRESH_SQL]
+    log = _exported_log(engine, table)
+    policy = ExecutionPolicy(workers=2, shards=2, multiplan=True)
+    try:
+        for knob, value in (
+            ("batch", True), ("workers", 2), ("shards", 2), ("multiplan", True)
+        ):
+            with pytest.raises(TypeError):
+                engine.execute_batch(list(queries), **{knob: value})
+            with pytest.raises(TypeError):
+                replay_log(log, engine, **{knob: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine.execute_batch(list(queries), policy)
+            assert replay_log(log, engine, policy=policy).matched
+    finally:
+        engine.close()
+
+    dashboard_table = repro.generate_dataset("customer_service", 300, seed=3)
+    sqlite = create_engine("sqlite")
+    sqlite.load_table(dashboard_table)
+    try:
+        state = DashboardState(cs_spec, dashboard_table)
+        with pytest.raises(TypeError):
+            state.refresh(sqlite, workers=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state.refresh(sqlite, policy=policy)
+    finally:
+        sqlite.close()
 
 
 # ---------------------------------------------------------------------------
@@ -457,53 +442,42 @@ def test_session_config_policy_defaults_to_serial():
 
     config = SessionConfig()
     assert config.policy == ExecutionPolicy.serial()
-    assert config.batch is False and config.workers == 1
-
-
-def test_session_config_legacy_fields_warn_and_map():
-    from repro.simulation.session import SessionConfig
-
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        config = SessionConfig(batch=True, workers=3)
-    assert config.policy == ExecutionPolicy(workers=3)
-    assert config.batch is True and config.workers == 3
+    # A preset name resolves at construction; replace() swaps it.
+    concurrent = replace(config, policy="concurrent")
+    assert concurrent.policy == ExecutionPolicy.concurrent()
+    assert replace(concurrent, seed=9).policy == concurrent.policy
 
 
 def test_session_config_policy_mirrors_into_legacy_fields():
-    from dataclasses import replace
+    """The policy is SessionConfig's only execution field: the old
+    batch/workers/shards/multiplan mirrors are gone, so passing one is
+    a TypeError and the policy round-trips through replace() whole."""
+    from dataclasses import fields
 
     from repro.simulation.session import SessionConfig
 
-    config = SessionConfig(policy=ExecutionPolicy(workers=4, multiplan=True))
-    assert config.batch is True
-    assert config.workers == 4
-    assert config.multiplan is True
-    # replace() round-trips without warnings (policy and mirrored
-    # fields travel together).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reseeded = replace(config, seed=9)
-    assert reseeded.policy == config.policy
-    # with_policy swaps the whole execution strategy.
-    serial = config.with_policy("serial")
-    assert serial.policy == ExecutionPolicy.serial()
-    assert serial.batch is False and serial.workers == 1
-
-
-def test_session_config_conflicting_policy_and_fields_raise():
-    from repro.simulation.session import SessionConfig
-
-    with pytest.raises(ConfigError, match="conflicts"):
-        SessionConfig(policy=ExecutionPolicy(workers=4), workers=2)
+    names = {f.name for f in fields(SessionConfig)}
+    assert "policy" in names
+    assert names.isdisjoint({"batch", "workers", "shards", "multiplan"})
+    for knob, value in (
+        ("batch", True), ("workers", 2), ("shards", 2), ("multiplan", True)
+    ):
+        with pytest.raises(TypeError):
+            SessionConfig(**{knob: value})
+    policy = ExecutionPolicy(workers=3, shards=2, multiplan=True)
+    config = SessionConfig(policy=policy)
+    assert config.policy is policy
+    assert replace(config, seed=4).policy == policy
+    assert replace(config, policy=None).policy == ExecutionPolicy.serial()
 
 
 def test_benchmark_config_accepts_policy_and_keeps_cell_overlap():
     from repro.harness.config import BenchmarkConfig
 
+    assert BenchmarkConfig().policy == ExecutionPolicy.serial()
     config = BenchmarkConfig(policy=ExecutionPolicy(workers=4, shards=2))
-    assert config.workers == 4  # runner cell overlap
+    assert config.policy.workers == 4  # runner cell overlap
     assert config.session.policy == ExecutionPolicy(workers=4, shards=2)
-    assert config.batch is True and config.shards == 2
     preset = BenchmarkConfig(policy="serial")
     assert preset.session.policy == ExecutionPolicy.serial()
 
@@ -512,9 +486,9 @@ def test_benchmark_config_propagates_backend_to_session():
     from repro.harness.config import BenchmarkConfig
     from repro.simulation.session import SessionConfig
 
-    # backend has no legacy knob mirror, so the knob-wise merge into
-    # the session must carry it on the policy itself (regression: it
-    # used to be rebuilt as "threads", silently ignoring --backend).
+    # A default session takes the config's whole policy, backend
+    # included (regression: it used to be rebuilt as "threads",
+    # silently ignoring --backend).
     config = BenchmarkConfig(
         policy=ExecutionPolicy(workers=4, shards=4, backend="processes")
     )
@@ -540,10 +514,10 @@ def test_benchmark_config_explicit_session_policy_wins():
     config = BenchmarkConfig(
         policy=ExecutionPolicy(workers=8), session=session
     )
-    # Knob-wise merge: the session's explicit width is kept; the
-    # config's own field still drives cell overlap.
-    assert config.session.workers == 2
-    assert config.workers == 8
+    # The session's explicit policy is kept whole; the config's own
+    # policy still drives cell overlap.
+    assert config.session.policy == ExecutionPolicy(workers=2)
+    assert config.policy.workers == 8
 
 
 def test_refresh_job_carries_a_policy():
@@ -554,12 +528,10 @@ def test_refresh_job_carries_a_policy():
 
     job = RefreshJob(_Stub(), create_engine("vectorstore"))
     assert job.policy == ExecutionPolicy()
-    with pytest.warns(DeprecationWarning):
-        legacy = RefreshJob(
-            _Stub(), create_engine("vectorstore"), workers=3
-        )
-    assert legacy.policy == ExecutionPolicy(workers=3)
-    assert legacy.workers == 3
+    preset = RefreshJob(
+        _Stub(), create_engine("vectorstore"), policy="serial"
+    )
+    assert preset.policy == ExecutionPolicy.serial()
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +689,6 @@ def test_connect_accepts_engine_instances_and_presets():
 
 
 def test_refresh_job_replace_round_trips_without_conflict():
-    from dataclasses import replace
-
     from repro.concurrency import RefreshJob
 
     class _Stub:
@@ -726,16 +696,9 @@ def test_refresh_job_replace_round_trips_without_conflict():
 
     job = RefreshJob(_Stub(), create_engine("vectorstore"),
                      policy=ExecutionPolicy(workers=2))
-    # replace() passes the mirrored knob fields back in alongside the
-    # policy; values equal to the policy's own are not a conflict.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        narrowed = replace(job, viz_ids=("a",))
+    narrowed = replace(job, viz_ids=("a",))
     assert narrowed.policy == job.policy
     assert narrowed.viz_ids == ("a",)
-    with pytest.raises(ConfigError, match="conflicts"):
-        RefreshJob(_Stub(), create_engine("vectorstore"),
-                   policy=ExecutionPolicy(workers=2), workers=4)
 
 
 def test_session_load_invalidates_cached_dashboard_states():
@@ -771,19 +734,3 @@ def test_scan_group_executor_rejects_sequential_policies():
             executor.close()
     finally:
         engine.close()
-
-
-def test_config_policy_with_matching_mirror_field_is_not_a_conflict():
-    from repro.harness.config import BenchmarkConfig
-    from repro.simulation.session import SessionConfig
-
-    # A legacy field equal to the policy's own value is its mirror, not
-    # a conflict; unset fields mirror the policy so reads stay coherent.
-    config = SessionConfig(policy=ExecutionPolicy(workers=4), workers=4)
-    assert config.workers == 4
-    assert config.batch is True  # unset field mirrors the policy
-    bench = BenchmarkConfig(policy=ExecutionPolicy(workers=4), workers=4)
-    assert bench.workers == 4 and bench.batch is True
-    # A genuinely different value still conflicts.
-    with pytest.raises(ConfigError, match="conflicts"):
-        SessionConfig(policy=ExecutionPolicy(workers=4), workers=2)

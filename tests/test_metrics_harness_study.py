@@ -250,6 +250,34 @@ class TestHarnessLogExport:
         assert replay_log(log, engine).matched
 
 
+class TestHarnessSessionConfig:
+    def test_cells_keep_every_session_field(self, monkeypatch):
+        """Each grid cell reseeds the configured session and keeps every
+        other field — dynamic goal order included (regression: the
+        runner rebuilt SessionConfig field by field and dropped it)."""
+        from dataclasses import replace
+
+        import repro.harness.runner as runner
+        from repro.simulation.session import SessionConfig
+
+        built = []
+        real = runner.SessionSimulator
+
+        def recording(*args, **kwargs):
+            built.append(kwargs["config"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "SessionSimulator", recording)
+        session = SessionConfig(
+            dynamic_goal_order=True, max_steps_per_goal=3, max_total_steps=6
+        )
+        config = replace(BenchmarkConfig.smoke(), session=session, seed=2)
+        BenchmarkRunner(config).run()
+        assert [c.seed for c in built] == [2_000]
+        assert all(c.dynamic_goal_order for c in built)
+        assert all(replace(c, seed=session.seed) == session for c in built)
+
+
 #: Runs a small grid and prints the goals it drew and what the sessions
 #: did, as JSON. Run in children because the hash salt is per process.
 _GRID_SCRIPT = """

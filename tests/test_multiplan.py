@@ -1,7 +1,8 @@
 """Tests for single-pass multi-plan evaluation of unfiltered groups.
 
 Core property: for every engine and every ``(workers, shards)``
-combination, ``execute_batch(queries, multiplan=True, ...)`` returns
+combination, ``execute_batch(queries, ExecutionPolicy(multiplan=True,
+...))`` returns
 results byte-identical to sequential per-query execution — same
 columns, same rows, same order — while issuing one combined base scan
 for the unfiltered group instead of one per fusion class.
@@ -31,6 +32,7 @@ from repro.engine.instrument import CountingEngine
 from repro.engine.multiplan import build_multiplan, eligible_plan
 from repro.engine.registry import create_engine
 from repro.engine.table import Table
+from repro.execution import ExecutionPolicy
 from repro.sql.formatter import format_query
 from repro.sql.parser import parse_query
 from repro.workload.datasets import generate_dataset
@@ -182,7 +184,8 @@ def test_multiplan_results_identical_to_sequential(
     queries = _queries()
     sequential = [engine.execute(q) for q in queries]
     batched = engine.execute_batch(
-        list(queries), workers=workers, shards=shards, multiplan=True
+        list(queries),
+        ExecutionPolicy(workers=workers, shards=shards, multiplan=True),
     )
     _assert_identical(
         sequential, batched,
@@ -197,11 +200,15 @@ def test_multiplan_matches_per_group_path_bytewise(engine_name):
     queries = _queries()
     off = create_engine(engine_name)
     off.load_table(_events_table())
-    baseline = off.execute_batch(list(queries), multiplan=False)
+    baseline = off.execute_batch(
+        list(queries), ExecutionPolicy(multiplan=False)
+    )
 
     counting = CountingEngine(create_engine(engine_name))
     counting.load_table(_events_table())
-    combined = counting.inner.execute_batch(list(queries), multiplan=True)
+    combined = counting.inner.execute_batch(
+        list(queries), ExecutionPolicy(multiplan=True)
+    )
     _assert_identical(
         [t.result for t in baseline], combined, engine_name
     )
@@ -215,11 +222,15 @@ def test_multiplan_collapses_unfiltered_group_to_one_scan():
     unfiltered = [parse_query(sql) for sql in _SUITE[:5]]  # one group
 
     counting.reset()
-    BatchExecutor(counting, multiplan=False).run(list(unfiltered))
+    BatchExecutor(
+        counting, ExecutionPolicy(multiplan=False)
+    ).run(list(unfiltered))
     per_class_scans = counting.base_scans()
 
     counting.reset()
-    result = BatchExecutor(counting, multiplan=True).run(list(unfiltered))
+    result = BatchExecutor(
+        counting, ExecutionPolicy(multiplan=True)
+    ).run(list(unfiltered))
     combined_scans = counting.base_scans()
 
     assert per_class_scans == 4  # queue (fused pair), day, flag, global
@@ -239,7 +250,9 @@ def test_multiplan_off_is_the_exact_preexisting_path():
     reference = BatchExecutor(plain).run(list(queries))
     assert reference.stats.multiplan_groups == 0
     assert reference.stats.multiplan_plans == 0
-    executor = ScanGroupExecutor(plain, workers=1, shards=1, multiplan=False)
+    executor = ScanGroupExecutor(
+        plain, ExecutionPolicy(workers=1, shards=1, multiplan=False)
+    )
     off = executor.run(list(queries))
     _assert_identical(
         [t.result for t in reference.results], off.results, "multiplan=False"
@@ -267,7 +280,9 @@ def test_ineligible_classes_ride_along_per_class():
     ]
     sequential = [counting.inner.execute(q) for q in queries]
     counting.reset()
-    result = BatchExecutor(counting, multiplan=True).run(list(queries))
+    result = BatchExecutor(
+        counting, ExecutionPolicy(multiplan=True)
+    ).run(list(queries))
     _assert_identical(sequential, result.results, "mixed group")
     # One combined pass for the two eligible classes + one scan each
     # for ORDER BY and DISTINCT.
@@ -279,7 +294,7 @@ def test_ineligible_classes_ride_along_per_class():
 def test_no_temp_relation_survives_the_combined_pass():
     engine = create_engine("rowstore")
     engine.load_table(_events_table())
-    BatchExecutor(engine, multiplan=True).run(
+    BatchExecutor(engine, ExecutionPolicy(multiplan=True)).run(
         [parse_query(sql) for sql in _SUITE[:5]]
     )
     assert not [
@@ -309,7 +324,8 @@ def test_empty_table_global_and_grouped_plans(engine_name):
     sequential = [engine.execute(q) for q in queries]
     for workers, shards in [(1, 1), (2, 3)]:
         batched = engine.execute_batch(
-            list(queries), workers=workers, shards=shards, multiplan=True
+            list(queries),
+            ExecutionPolicy(workers=workers, shards=shards, multiplan=True),
         )
         _assert_identical(
             sequential, batched, f"empty {engine_name} s={shards}"
@@ -332,7 +348,9 @@ def test_all_global_plans_combine(engine_name):
     sequential = [engine.execute(q) for q in queries]
     counting = CountingEngine(create_engine(engine_name))
     counting.load_table(_events_table())
-    batched = BatchExecutor(counting, multiplan=True).run(list(queries))
+    batched = BatchExecutor(
+        counting, ExecutionPolicy(multiplan=True)
+    ).run(list(queries))
     _assert_identical(sequential, batched.results, engine_name)
     assert counting.base_scans() == 1
     engine.close()
@@ -350,7 +368,9 @@ def test_duplicate_queries_fuse_then_combine():
     engine = create_engine("matstore")
     engine.load_table(_events_table())
     sequential = [engine.execute(q) for q in queries]
-    result = BatchExecutor(engine, multiplan=True).run(list(queries))
+    result = BatchExecutor(
+        engine, ExecutionPolicy(multiplan=True)
+    ).run(list(queries))
     _assert_identical(sequential, result.results, "duplicates")
     assert result.stats.fused_queries == 1
     assert result.stats.multiplan_plans == 2
@@ -368,7 +388,7 @@ def test_dashboard_initial_render_is_identical(engine_name):
     engine = create_engine(engine_name)
     engine.load_table(table)
     sequential = [engine.execute(q) for q in queries]
-    refreshed = state.refresh(engine, batch=True, multiplan=True)
+    refreshed = state.refresh(engine, policy=ExecutionPolicy(multiplan=True))
     batched = [refreshed[v] for v in sorted(state.visualizations)]
     _assert_identical(sequential, batched, engine_name)
     engine.close()
@@ -384,15 +404,21 @@ def test_cached_engine_serves_repeat_renders_without_scans():
     engine = CachedEngine(counting)
     engine.load_table(_events_table())
     queries = _queries()
-    first = engine.execute_batch(list(queries), multiplan=True)
+    first = engine.execute_batch(
+        list(queries), ExecutionPolicy(multiplan=True)
+    )
     scans_after_first = counting.base_scans()
     assert scans_after_first > 0
-    second = engine.execute_batch(list(queries), multiplan=True)
+    second = engine.execute_batch(
+        list(queries), ExecutionPolicy(multiplan=True)
+    )
     _assert_identical([t.result for t in first], second, "warm repeat")
     assert counting.base_scans() == scans_after_first  # zero new work
     # The per-plan results were cached under their own SQL, so a
     # non-multiplan repeat is served from the same entries.
-    third = engine.execute_batch(list(queries), multiplan=False)
+    third = engine.execute_batch(
+        list(queries), ExecutionPolicy(multiplan=False)
+    )
     _assert_identical([t.result for t in first], third, "cross-mode repeat")
     assert counting.base_scans() == scans_after_first
     engine.close()
@@ -403,12 +429,14 @@ def test_load_table_invalidates_multiplan_cache_entries():
     engine = CachedEngine(counting)
     engine.load_table(_events_table())
     queries = _queries()
-    engine.execute_batch(list(queries), multiplan=True)
+    engine.execute_batch(list(queries), ExecutionPolicy(multiplan=True))
     scans_cold = counting.base_scans()
 
     engine.load_table(_events_table(seed=9))  # mutate the base table
     fresh_sequential = [counting.inner.execute(q) for q in queries]
-    recomputed = engine.execute_batch(list(queries), multiplan=True)
+    recomputed = engine.execute_batch(
+        list(queries), ExecutionPolicy(multiplan=True)
+    )
     _assert_identical(fresh_sequential, recomputed, "post-invalidation")
     assert counting.base_scans() > scans_cold  # really recomputed
     engine.close()
@@ -422,11 +450,13 @@ def test_cached_engine_multiplan_with_workers_and_shards(shards):
     queries = _queries()
     sequential = [counting.inner.execute(q) for q in queries]
     batched = engine.execute_batch(
-        list(queries), workers=4, shards=shards, multiplan=True
+        list(queries),
+        ExecutionPolicy(workers=4, shards=shards, multiplan=True),
     )
     _assert_identical(sequential, batched, f"cached shards={shards}")
     repeat = engine.execute_batch(
-        list(queries), workers=4, shards=shards, multiplan=True
+        list(queries),
+        ExecutionPolicy(workers=4, shards=shards, multiplan=True),
     )
     _assert_identical(sequential, repeat, f"cached repeat shards={shards}")
     engine.close()
@@ -444,7 +474,7 @@ def test_sharded_multiplan_keeps_per_shard_scan_shape():
     counting.load_table(_events_table())
     unfiltered = [parse_query(sql) for sql in _SUITE[:5]]  # one group
     executor = ScanGroupExecutor(
-        counting, workers=1, shards=4, multiplan=True
+        counting, ExecutionPolicy(workers=1, shards=4, multiplan=True)
     )
     result = executor.run(list(unfiltered))
     executor.close()
@@ -461,14 +491,17 @@ def test_session_and_benchmark_configs_carry_the_flag():
     from repro.harness.config import BenchmarkConfig
     from repro.simulation.session import SessionConfig
 
-    assert SessionConfig().multiplan is False
-    assert BenchmarkConfig().multiplan is False
-    config = BenchmarkConfig(multiplan=True)
-    assert config.session.multiplan is True  # mirrored into the session
+    assert SessionConfig().policy.multiplan is False
+    assert BenchmarkConfig().policy.multiplan is False
+    config = BenchmarkConfig(policy=ExecutionPolicy(multiplan=True))
+    assert config.session.policy.multiplan is True  # default session follows
     explicit = BenchmarkConfig(
-        session=SessionConfig(multiplan=True, run_to_max=True)
+        session=SessionConfig(
+            policy=ExecutionPolicy(multiplan=True), run_to_max=True
+        )
     )
-    assert explicit.multiplan is True  # session remains source of truth
+    # The session remains the source of truth.
+    assert explicit.session.policy.multiplan is True
 
 
 def test_cli_parsers_accept_the_toggle():

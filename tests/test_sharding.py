@@ -1,7 +1,8 @@
 """Tests for sharded scan-group execution and partial-aggregate rollup.
 
 Core property: for every engine and every ``(shards, workers)``
-combination, ``execute_batch(queries, workers=w, shards=s)`` returns
+combination, ``execute_batch(queries, ExecutionPolicy(workers=w,
+shards=s))`` returns
 results byte-identical to sequential per-query execution — same
 columns, same rows, same order.
 
@@ -29,6 +30,7 @@ from repro.engine.instrument import CountingEngine
 from repro.engine.interface import normalize_value
 from repro.engine.registry import create_engine
 from repro.engine.table import Table
+from repro.execution import ExecutionPolicy
 from repro.errors import ConfigError
 from repro.sharding import Partitioner, RowRange
 from repro.sql.parser import parse_query
@@ -174,7 +176,7 @@ def test_sharded_batch_identical_to_sequential(engine_name):
     for shards in (1, 2, 3, 5):
         for workers in (1, 4):
             out = engine.execute_batch(
-                list(queries), workers=workers, shards=shards
+                list(queries), ExecutionPolicy(workers=workers, shards=shards)
             )
             _assert_identical(
                 sequential, out,
@@ -215,7 +217,9 @@ def test_random_mix_sharded_identical(engine_name, seed):
     )
     queries = [_random_query(rng) for _ in range(15)]
     sequential = [engine.execute(q) for q in queries]
-    out = engine.execute_batch(list(queries), workers=4, shards=3)
+    out = engine.execute_batch(
+        list(queries), ExecutionPolicy(workers=4, shards=3)
+    )
     for i, (seq, timed) in enumerate(zip(sequential, out)):
         assert seq.columns == timed.result.columns, i
         normalized_seq = [
@@ -255,7 +259,9 @@ def test_dashboard_walk_sharded_identical(engine_name):
         walks.append(state.apply(rng.choice(preferred)))
     for step, queries in enumerate(walks):
         sequential = [engine.execute(q) for q in queries]
-        out = engine.execute_batch(list(queries), workers=2, shards=4)
+        out = engine.execute_batch(
+            list(queries), ExecutionPolicy(workers=2, shards=4)
+        )
         for i, (seq, timed) in enumerate(zip(sequential, out)):
             assert seq.columns == timed.result.columns, (step, i)
             assert [
@@ -274,7 +280,7 @@ def test_shards1_takes_the_exact_preexisting_path():
     plain = create_engine("vectorstore")
     plain.load_table(_events_table())
     reference = BatchExecutor(plain).run(list(queries))
-    executor = ScanGroupExecutor(plain, workers=1, shards=1)
+    executor = ScanGroupExecutor(plain, ExecutionPolicy(workers=1, shards=1))
     sharded_off = executor.run(list(queries))
     _assert_identical(
         [t.result for t in reference.results], sharded_off.results, "shards=1"
@@ -295,7 +301,7 @@ def test_sharded_stats_count_per_shard_scans():
     engine = create_engine("vectorstore")
     engine.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:3]]  # one scan group
-    executor = ScanGroupExecutor(engine, shards=4)
+    executor = ScanGroupExecutor(engine, ExecutionPolicy(shards=4))
     result = executor.run(list(queries))
     assert result.stats.sharded_groups == 1
     assert result.stats.shard_scans == 4  # one scan task per shard
@@ -349,7 +355,7 @@ def test_avg_over_empty_shards(engine_name, shards):
         parse_query("SELECT grp, AVG(sparse) AS a FROM edge GROUP BY grp"),
     ]
     sequential = [engine.execute(q) for q in queries]
-    out = engine.execute_batch(list(queries), shards=shards)
+    out = engine.execute_batch(list(queries), ExecutionPolicy(shards=shards))
     _assert_identical(sequential, out, f"{engine_name} shards={shards}")
     engine.close()
 
@@ -372,7 +378,7 @@ def test_min_max_over_all_null_shard_partitions(engine_name, shards):
         ),
     ]
     sequential = [engine.execute(q) for q in queries]
-    out = engine.execute_batch(list(queries), shards=shards)
+    out = engine.execute_batch(list(queries), ExecutionPolicy(shards=shards))
     _assert_identical(sequential, out, f"{engine_name} shards={shards}")
     # The all-NULL aggregates really are NULL.
     assert out[1].result.rows == [(None, None)]
@@ -397,7 +403,9 @@ def test_count_star_vs_count_col_rollup_equivalence(engine_name):
     ]
     sequential = [engine.execute(q) for q in queries]
     for shards in (2, 3, 8):
-        out = engine.execute_batch(list(queries), shards=shards)
+        out = engine.execute_batch(
+            list(queries), ExecutionPolicy(shards=shards)
+        )
         _assert_identical(sequential, out, f"{engine_name} shards={shards}")
     grouped = out[0].result
     non_null = dict(zip(grouped.column("grp"), grouped.column("non_null")))
@@ -417,18 +425,24 @@ def test_cached_engine_sharded_repeats_and_invalidation():
     engine.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:5]]
     sequential = [engine.execute(q) for q in queries]
-    first = engine.execute_batch(list(queries), workers=2, shards=4)
+    first = engine.execute_batch(
+        list(queries), ExecutionPolicy(workers=2, shards=4)
+    )
     _assert_identical(sequential, first, "sharded cold")
     scans_after_first = inner.base_scans()
     # A repeated refresh is served from the scan-group cache: zero new
     # base scans, identical results.
-    second = engine.execute_batch(list(queries), workers=2, shards=4)
+    second = engine.execute_batch(
+        list(queries), ExecutionPolicy(workers=2, shards=4)
+    )
     _assert_identical(sequential, second, "sharded warm")
     assert inner.base_scans() == scans_after_first
     # Mutation invalidates; the next sharded batch sees the new data.
     engine.load_table(_events_table(rows=60, seed=9))
     fresh = [engine.execute(q) for q in queries]
-    third = engine.execute_batch(list(queries), workers=2, shards=4)
+    third = engine.execute_batch(
+        list(queries), ExecutionPolicy(workers=2, shards=4)
+    )
     _assert_identical(fresh, third, "sharded after reload")
     engine.close()
 
@@ -437,7 +451,7 @@ def test_counting_engine_reports_per_shard_scans():
     inner = CountingEngine(create_engine("vectorstore"))
     inner.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:3]]  # one scan group
-    inner.execute_batch(list(queries), shards=4)
+    inner.execute_batch(list(queries), ExecutionPolicy(shards=4))
     assert inner.shard_scans.get("events") == 4
     assert inner.scans.get("events") == 4
     inner.close()
@@ -453,7 +467,8 @@ def test_sharded_refresh_jobs_match_unsharded():
         engine = create_engine("sqlite")
         engine.load_table(table)
         return RefreshJob(
-            DashboardState(spec, table), engine, workers=2, shards=shards
+            DashboardState(spec, table), engine,
+            policy=ExecutionPolicy(workers=2, shards=shards),
         )
 
     jobs = [job(1), job(4)]
@@ -498,9 +513,9 @@ def test_replay_sharded_identical(tmp_path):
     )
     replay_engine = create_engine("sqlite")
     replay_engine.load_table(table)
-    plain = replay_log(log, replay_engine, batch=True, workers=1)
+    plain = replay_log(log, replay_engine, policy=ExecutionPolicy())
     sharded = replay_log(
-        log, replay_engine, batch=True, workers=2, shards=3
+        log, replay_engine, policy=ExecutionPolicy(workers=2, shards=3)
     )
     assert plain.matched and sharded.matched
     assert [r.rows_returned for r in plain.results] == [
@@ -515,14 +530,15 @@ def test_session_config_shards_mirrors_into_benchmark_config():
     from repro.harness.config import BenchmarkConfig
     from repro.simulation.session import SessionConfig
 
-    config = BenchmarkConfig(shards=4)
-    assert config.session.shards == 4
-    assert config.shards == 4
-    explicit = BenchmarkConfig(session=SessionConfig(shards=2))
-    assert explicit.session.shards == 2
-    assert explicit.shards == 2
+    config = BenchmarkConfig(policy=ExecutionPolicy(shards=4))
+    assert config.session.policy.shards == 4
+    assert config.policy.shards == 4
+    explicit = BenchmarkConfig(
+        session=SessionConfig(policy=ExecutionPolicy(shards=2))
+    )
+    assert explicit.session.policy.shards == 2
     with pytest.raises(ConfigError):
-        BenchmarkConfig(shards=0)
+        BenchmarkConfig(policy=ExecutionPolicy(shards=0))
 
 
 def test_fully_cached_sharded_group_schedules_no_tasks():
@@ -534,7 +550,7 @@ def test_fully_cached_sharded_group_schedules_no_tasks():
     engine.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:3]]  # one scan group
     executor = ScanGroupExecutor(
-        engine, shards=4, group_cache=ScanGroupCache()
+        engine, ExecutionPolicy(shards=4), group_cache=ScanGroupCache()
     )
     executor.run(list(queries))  # cold: populates the group cache
     from repro.engine.batch import BatchStats, group_queries
@@ -597,7 +613,9 @@ def test_mutation_between_plan_and_merge_is_not_cached():
     engine = InvalidateOnRowCount()
     engine.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:3]]
-    executor = ScanGroupExecutor(engine, shards=2, group_cache=cache)
+    executor = ScanGroupExecutor(
+        engine, ExecutionPolicy(shards=2), group_cache=cache
+    )
     result = executor.run(list(queries))
     assert result.stats.sharded_groups == 1  # the group did shard
     assert cache.size == 0  # ... but the poisoned store was dropped
@@ -623,9 +641,10 @@ def test_sqlite_row_count_of_temp_relations_is_unknown():
 
 
 def test_harness_shards_reach_the_engine():
-    """BenchmarkConfig(shards=N) must actually drive per-shard range
-    scans in the runner's sessions — the runner rebuilds SessionConfig
-    field by field, so a dropped field silently disables sharding."""
+    """BenchmarkConfig(policy=...) with shards=N must actually drive
+    per-shard range scans in the runner's sessions — a policy dropped
+    between the config and the cell's SessionConfig silently disables
+    sharding."""
     from unittest import mock
 
     import repro.engine.registry as registry
@@ -651,8 +670,7 @@ def test_harness_shards_reach_the_engine():
             sizes={"1K": 1_000},
             runs=1,
             reference_rows=500,
-            batch=True,
-            shards=3,
+            policy=ExecutionPolicy(shards=3),
         )
         BenchmarkRunner(config).run()
     shard_scans = sum(sum(c.shard_scans.values()) for c in counters)
@@ -692,6 +710,8 @@ def test_wrappers_without_row_count_degrade_to_unsharded():
     engine.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:3]]
     sequential = [engine.execute(q) for q in queries]
-    result = ScanGroupExecutor(engine, shards=4).run(list(queries))
+    result = ScanGroupExecutor(engine, ExecutionPolicy(shards=4)).run(
+        list(queries)
+    )
     _assert_identical(sequential, result.results, "opaque wrapper")
     assert result.stats.sharded_groups == 0  # degraded, not sharded

@@ -2,9 +2,9 @@
 
 The rules live in ``src/repro/analysis/rules/`` (one file each, see
 ARCHITECTURE §15): lock ordering (RA101), telemetry purity (RA102),
-shared-memory lifecycle (RA103), frozen ExecutionPolicy (RA104),
-deprecated per-knob kwargs (RA105), bare threading primitives
-(RA106), plus suppression hygiene (RA100) from the framework itself.
+shared-memory lifecycle (RA103), frozen ExecutionPolicy (RA104), bare
+threading primitives (RA106), plus suppression hygiene (RA100) from the
+framework itself.
 
 Usage::
 
