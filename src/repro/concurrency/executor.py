@@ -15,16 +15,22 @@ split across contiguous row-range shards (:mod:`repro.sharding`), the
 per-shard scan tasks schedule over the same pool alongside unshardable
 groups' whole-group tasks, and once a group's shards have all settled a
 merge step rolls the partial aggregates up into the final member
-results. ``shards=1`` is byte-for-byte the pre-existing path — the
-sharded code is not even reached.
+results. On threads ``shards=1`` is byte-for-byte the pre-existing
+path — the sharded code is not even reached; ``backend="processes"``
+with an exporting engine ships each shardable group to a worker
+process even at ``shards=1`` (one job per group). One scheduling loop
+in :meth:`ScanGroupExecutor.run` covers every combination: a group is
+a whole-group task or a sharded run, and a run's shards are local
+tasks or process jobs.
 
 With ``multiplan=True`` the multi-plan tier
 (:mod:`repro.engine.multiplan`) folds a group's fusion classes into
 one combined pass: unsharded groups run it inside their ordinary group
 task (same scheduling, one engine execution instead of one per class),
 and sharded groups run one combined pass per shard
-(:class:`~repro.sharding.executor.MultiPlanShardedRun`) whose finest
-partials roll up through the same merge machinery. ``multiplan=False``
+(:class:`~repro.sharding.executor.MultiPlanShardedRun`, the same run
+base as per-class sharding) whose finest partials roll up through the
+same merge step. ``multiplan=False``
 (the default) never reaches the evaluator.
 
 Determinism: each group (or its merge step) writes only its own
@@ -74,6 +80,7 @@ from repro.engine.batch import (
     BatchResult,
     BatchStats,
     ScanGroup,
+    group_queries,
 )
 from repro.engine.interface import Engine, QueryResult
 from repro.concurrency.policy import (
@@ -82,8 +89,10 @@ from repro.concurrency.policy import (
     slot_gated,
 )
 from repro.concurrency.pool import WorkerPool, map_ordered
+from repro.concurrency.procpool import shared_process_pool
 from repro.concurrency.singleflight import SingleFlight
-from repro.errors import ExecutionError
+from repro.sharding import Partitioner
+from repro.sharding.executor import plan_sharded_group
 from repro.sql.ast import Query
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -130,8 +139,8 @@ class ScanGroupExecutor(BatchExecutor):
         #: does NOT own and never shuts down). Tests inject a fresh
         #: pool here to isolate fault-injection blast radius.
         self._proc_pool = proc_pool
-        # BatchExecutor's cumulative stats and key memo are shared
-        # mutable state; concurrent run() calls guard them here.
+        # Guards the worker-pool handle and, for concurrent run()
+        # calls, grouping over BatchExecutor's shared key memo.
         self._shared_lock = threading.Lock()
         self._pool: WorkerPool | None = None
 
@@ -164,10 +173,15 @@ class ScanGroupExecutor(BatchExecutor):
         (``None`` keeps it, so a bare ``run()`` behaves exactly as
         configured). The override rides along per call rather than
         mutating executor state, so concurrent ``run`` calls with
-        different policies stay independent. ``shards <= 1`` takes the
-        exact pre-existing one-task-per-group path;
-        ``multiplan=False`` likewise never reaches the combined-pass
-        evaluator.
+        different policies stay independent.
+
+        Each group becomes a whole-group unit or a sharded run whose
+        shards become local units or, when the process pool exports the
+        table, remote jobs. Sharded runs merge on the calling thread in
+        group order once everything has settled. On failure every local
+        unit and remote future still settles and every run's spans
+        close before the first error (local before remote, each in
+        submission order) is raised.
         """
         from repro.execution import coerce_policy
 
@@ -183,214 +197,88 @@ class ScanGroupExecutor(BatchExecutor):
                 "batch=False policy belongs on Engine.execute_batch, "
                 "which routes it to per-query execution"
             )
+        exporter = proc_pool = partitioner = None
         if policy.backend == "processes":
+            # None when nothing in the wrapper stack can export table
+            # snapshots — the backend knob is advisory, so the batch
+            # degrades to threads rather than failing.
             exporter = process_shard_engine(self.engine)
-            if exporter is not None:
-                return self._run_proc_sharded(queries, policy, exporter)
-            # Nothing in the wrapper stack can export table snapshots —
-            # the backend knob is advisory, so degrade to the thread
-            # paths below rather than failing the batch.
-        effective = policy.workers
-        sharding = policy.shards
-        combine = policy.multiplan
-        if sharding > 1:
-            return self._run_sharded(queries, effective, sharding, combine)
+        if exporter is not None:
+            proc_pool = self._proc_pool or shared_process_pool()
+        if policy.shards > 1 or exporter is not None:
+            # Process-backed groups ship even at shards=1: one job per
+            # group still leaves the GIL behind. On threads, shards=1
+            # never reaches the sharding planner at all.
+            partitioner = Partitioner(policy.shards)
         stats = BatchStats(queries=len(queries))
         results: list[QueryResult | None] = [None] * len(queries)
         with self._shared_lock:  # the key memo is shared mutable state
-            groups = self._group(queries)
+            groups = group_queries(list(queries), key_fn=self._memoized_keys)
         stats.groups = len(groups)
-        if effective > 1 and len(groups) > 1 and parallel_scans(self.engine):
-            pool = self._pool_for(effective)
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                # Bind each task so the submitting context's span (the
-                # refresh) travels onto the worker thread, along with
-                # the queue-wait measurement.
-                tasks = [
-                    tracer.bind(
-                        lambda g=g: self._execute_group(g, results, combine)
-                    )
-                    for g in groups
-                ]
-                group_stats = map_ordered(pool, lambda t: t(), tasks)
-            else:
-                group_stats = map_ordered(
-                    pool,
-                    lambda g: self._execute_group(g, results, combine),
-                    groups,
-                )
-        else:
-            # Serialized task queue: submission order, caller's thread.
-            group_stats = [
-                self._execute_group(g, results, combine) for g in groups
-            ]
-        for group_stat in group_stats:
-            stats.merge(group_stat)
-        if any(r is None for r in results):
-            # Positional alignment is the API contract; a hole here
-            # must fail loudly, never compact silently.
-            raise ExecutionError("batch execution left a query unanswered")
-        with self._shared_lock:
-            self.stats.merge(stats)
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.record_batch(stats)
-        return BatchResult(list(results), stats)
-
-    def _run_sharded(
-        self,
-        queries: list[Query],
-        workers: int,
-        shards: int,
-        multiplan: bool = False,
-    ) -> BatchResult:
-        """One task per (group, shard), then one merge per group.
-
-        Shardable groups contribute ``shards`` scan tasks to a flat
-        task list (unshardable groups contribute their pre-existing
-        whole-group task); the list schedules over the pool exactly
-        like groups do, and once *all* tasks have settled each sharded
-        group's partials roll up on the calling thread, in group order
-        — so results and stats are deterministic for any
-        ``(workers, shards)``.
-        """
-        from repro.sharding import Partitioner
-        from repro.sharding.executor import plan_sharded_group
-
-        partitioner = Partitioner(shards)
-        stats = BatchStats(queries=len(queries))
-        results: list[QueryResult | None] = [None] * len(queries)
-        with self._shared_lock:  # the key memo is shared mutable state
-            groups = self._group(queries)
-        stats.groups = len(groups)
-        plan_stats = BatchStats()  # cache hits served at plan time
         units: list[Callable[[], BatchStats]] = []
-        sharded_runs = []
-        for group in groups:
-            run = plan_sharded_group(
-                self, group, partitioner, results, plan_stats,
-                multiplan=multiplan,
-            )
-            if run is None:
-                units.append(
-                    lambda g=group: self._execute_group(
-                        g, results, multiplan
-                    )
-                )
-            else:
-                sharded_runs.append(run)
-                units.extend(run.scan_tasks())
-        if workers > 1 and len(units) > 1 and parallel_scans(self.engine):
-            pool = self._pool_for(workers)
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                # Bind each (group, shard) task so its span nests under
-                # the submitting refresh even on a worker thread.
-                units = [tracer.bind(unit) for unit in units]
-            unit_stats = map_ordered(pool, lambda unit: unit(), units)
-        else:
-            # Serialized task queue: submission order, caller's thread.
-            unit_stats = [unit() for unit in units]
-        merge_stats = [run.merge(results) for run in sharded_runs]
-        for delta in (plan_stats, *unit_stats, *merge_stats):
-            stats.merge(delta)
-        if any(r is None for r in results):
-            # Positional alignment is the API contract; a hole here
-            # must fail loudly, never compact silently.
-            raise ExecutionError("batch execution left a query unanswered")
-        with self._shared_lock:
-            self.stats.merge(stats)
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.record_batch(stats)
-        return BatchResult(list(results), stats)
-
-    def _run_proc_sharded(
-        self, queries: list[Query], policy, exporter: Engine
-    ) -> BatchResult:
-        """Process-backed execution: shard jobs run in worker processes.
-
-        Each shardable group's row-range shards become
-        :class:`~repro.concurrency.procpool.ShardJob` units dispatched
-        to a :class:`~repro.concurrency.procpool.ProcessShardPool`;
-        partials come back as payloads and merge through the exact
-        rollup algebra the thread path uses, so byte-identity carries
-        over. Groups that cannot shard — and tables the engine cannot
-        export — run locally on the pre-existing thread paths,
-        overlapping with the in-flight worker processes.
-
-        Unlike the thread path, dispatch does **not** gate on
-        ``parallel_scans``: escaping the GIL for the pure-Python stores
-        is the entire point of this backend.
-
-        Collection is wait-all in submission order: every future
-        settles before the first error (if any) is raised, so no
-        worker output is abandoned mid-pipe and spans close cleanly.
-        """
-        from repro.concurrency.procpool import shared_process_pool
-        from repro.sharding import Partitioner
-        from repro.sharding.executor import plan_sharded_group
-
-        pool = self._proc_pool
-        if pool is None:
-            pool = shared_process_pool()
-        partitioner = Partitioner(max(policy.shards, 1))
-        stats = BatchStats(queries=len(queries))
-        results: list[QueryResult | None] = [None] * len(queries)
-        with self._shared_lock:  # the key memo is shared mutable state
-            groups = self._group(queries)
-        stats.groups = len(groups)
-        plan_stats = BatchStats()  # cache hits served at plan time
-        local_units: list[Callable[[], BatchStats]] = []
-        sharded_runs = []
+        runs = []  # sharded runs, merged in group order
         remote = []  # (run, job, span, future) in submission order
-        for group in groups:
-            run = plan_sharded_group(
-                self, group, partitioner, results, plan_stats,
-                multiplan=policy.multiplan,
-            )
-            if run is None:
-                local_units.append(
-                    lambda g=group: self._execute_group(
-                        g, results, policy.multiplan
-                    )
-                )
-                continue
-            sharded_runs.append(run)
-            export = pool.export_table(exporter, run.table)
-            if export is None:
-                # Unknown generation (or unexportable storage): the
-                # run's shards execute locally instead.
-                local_units.extend(run.scan_tasks())
-                continue
-            for job in run.remote_jobs(export):
-                span = run.begin_remote(job.shard)
-                if span is not None:
-                    # Serialized span context: its presence tells the
-                    # worker to record re-anchorable span tuples.
-                    job.trace = {"span_id": span.span_id}
-                remote.append((run, job, span, pool.submit(export, job)))
-        # Local leftovers execute while the workers chew on the remote
-        # jobs; their own overlap keeps the thread path's gating.
-        if (
-            policy.workers > 1
-            and len(local_units) > 1
-            and parallel_scans(self.engine)
-        ):
-            wpool = self._pool_for(policy.workers)
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                local_units = [tracer.bind(unit) for unit in local_units]
-            unit_stats = map_ordered(wpool, lambda unit: unit(), local_units)
-        else:
-            unit_stats = [unit() for unit in local_units]
-        remote_stats = []
+        deltas: list[BatchStats] = []
         first_error: BaseException | None = None
+        try:
+            for group in groups:
+                run = None
+                if partitioner is not None:
+                    # Cache hits served at plan time count into stats.
+                    run = plan_sharded_group(
+                        self, group, partitioner, results, stats,
+                        multiplan=policy.multiplan,
+                    )
+                if run is None:
+                    units.append(
+                        lambda g=group: self._execute_group(
+                            g, results, policy.multiplan
+                        )
+                    )
+                    continue
+                runs.append(run)
+                export = None
+                if proc_pool is not None:
+                    # None for an unknown generation (or unexportable
+                    # storage): the run's shards execute locally.
+                    export = proc_pool.export_table(exporter, run.table)
+                if export is None:
+                    units.extend(run.scan_tasks())
+                    continue
+                for job in run.remote_jobs(export):
+                    span = run.begin_remote(job.shard)
+                    if span is not None:
+                        # Serialized span context: its presence tells
+                        # the worker to record re-anchorable span tuples.
+                        job.trace = {"span_id": span.span_id}
+                    remote.append(
+                        (run, job, span, proc_pool.submit(export, job))
+                    )
+            # Local units execute while the workers chew on the remote
+            # jobs, which never gate on parallel_scans: escaping the
+            # GIL for the pure-Python stores is that backend's point.
+            if (
+                policy.workers > 1
+                and len(units) > 1
+                and parallel_scans(self.engine)
+            ):
+                pool = self._pool_for(policy.workers)
+                tracer = _trace.ACTIVE
+                if tracer is not None:
+                    # Bind each task so the submitting refresh's span
+                    # travels onto the worker thread, along with the
+                    # queue-wait measurement.
+                    units = [tracer.bind(unit) for unit in units]
+                deltas = map_ordered(pool, lambda unit: unit(), units)
+            else:
+                # Serialized task queue: submission order, caller's thread.
+                deltas = [unit() for unit in units]
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            first_error = exc
         proc_tasks: dict[int, int] = {}
         for run, job, span, future in remote:
             try:
-                payload = pool.collect(future, job)
+                payload = proc_pool.collect(future, job)
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 if first_error is None:
                     first_error = exc
@@ -400,34 +288,26 @@ class ScanGroupExecutor(BatchExecutor):
                     tracer.finish(span)
                 continue
             proc_tasks[payload.pid] = proc_tasks.get(payload.pid, 0) + 1
-            remote_stats.append(run.accept_remote(job.shard, payload, span))
+            deltas.append(run.accept_remote(job.shard, payload, span))
         registry = _metrics.ACTIVE
         if registry is not None:
             for pid, count in proc_tasks.items():
                 registry.set_gauge(
                     "pool.proc_tasks", count, worker=f"pid-{pid}"
                 )
-        if first_error is not None:
-            raise first_error
-        merge_stats = [run.merge(results) for run in sharded_runs]
-        for delta in (plan_stats, *unit_stats, *remote_stats, *merge_stats):
+        try:
+            if first_error is not None:
+                raise first_error
+            deltas.extend(run.merge(results) for run in runs)
+        except BaseException:
+            for run in runs:
+                run.abort()
+            raise
+        for delta in deltas:
             stats.merge(delta)
-        if any(r is None for r in results):
-            # Positional alignment is the API contract; a hole here
-            # must fail loudly, never compact silently.
-            raise ExecutionError("batch execution left a query unanswered")
-        with self._shared_lock:
-            self.stats.merge(stats)
-        if registry is not None:
-            registry.record_batch(stats)
-        return BatchResult(list(results), stats)
+        return self._finish(results, stats)
 
     # -- internals ----------------------------------------------------------
-
-    def _group(self, queries: list[Query]) -> list[ScanGroup]:
-        from repro.engine.batch import group_queries
-
-        return group_queries(list(queries), key_fn=self._memoized_keys)
 
     def _execute_group(
         self,
@@ -505,25 +385,7 @@ class ScanGroupExecutor(BatchExecutor):
         # deadlock against another thread's leader.
         stats = BatchStats()
         if group.signature is None:
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                for item in group.members:
-                    # Tag before delegating: a cache hit inside the
-                    # fallback engine overrides with "cache".
-                    tracer.tag_query(item.sql, "fallback")
-                    with tracer.span("fallback", sql=item.sql):
-                        results[item.index] = (
-                            self.fallback_engine.execute_timed(item.query)
-                        )
-                    stats.fallbacks += 1
-                    stats.base_scans += 1
-            else:
-                for item in group.members:
-                    results[item.index] = self.fallback_engine.execute_timed(
-                        item.query
-                    )
-                    stats.fallbacks += 1
-                    stats.base_scans += 1
+            self._run_fallback(group, results, stats)
         else:
             self._run_group(group, results, stats, multiplan=multiplan)
         return stats

@@ -388,24 +388,7 @@ class BatchExecutor:
         tracer = _trace.ACTIVE
         for group in groups:
             if group.signature is None:
-                if tracer is not None:
-                    for item in group.members:
-                        # Tag before delegating: a cache hit inside the
-                        # fallback engine overrides with "cache".
-                        tracer.tag_query(item.sql, "fallback")
-                        with tracer.span("fallback", sql=item.sql):
-                            results[item.index] = (
-                                self.fallback_engine.execute_timed(item.query)
-                            )
-                        stats.fallbacks += 1
-                        stats.base_scans += 1
-                else:
-                    for item in group.members:
-                        results[item.index] = (
-                            self.fallback_engine.execute_timed(item.query)
-                        )
-                        stats.fallbacks += 1
-                        stats.base_scans += 1
+                self._run_fallback(group, results, stats)
             elif tracer is not None:
                 with tracer.span(
                     "scan_group",
@@ -416,6 +399,14 @@ class BatchExecutor:
                     self._run_group(group, results, stats)
             else:
                 self._run_group(group, results, stats)
+        return self._finish(results, stats)
+
+    # -- internals ----------------------------------------------------------
+
+    def _finish(
+        self, results: list[QueryResult | None], stats: BatchStats
+    ) -> BatchResult:
+        """Close one batch: check alignment, then account its stats."""
         if any(r is None for r in results):
             # Positional alignment is the API contract; a hole here
             # must fail loudly, never compact silently.
@@ -426,8 +417,6 @@ class BatchExecutor:
         if registry is not None:
             registry.record_batch(stats)
         return BatchResult(list(results), stats)
-
-    # -- internals ----------------------------------------------------------
 
     def _memoized_keys(self, query: Query) -> tuple[str, ScanSignature | None]:
         try:
@@ -442,6 +431,30 @@ class BatchExecutor:
                 if len(self._key_memo) > 1024:
                     self._key_memo.popitem(last=False)
         return keys
+
+    def _run_fallback(
+        self,
+        group: ScanGroup,
+        results: list[QueryResult | None],
+        stats: BatchStats,
+    ) -> None:
+        """Execute an unbatchable group's members one by one."""
+        tracer = _trace.ACTIVE
+        for item in group.members:
+            if tracer is None:
+                results[item.index] = self.fallback_engine.execute_timed(
+                    item.query
+                )
+            else:
+                # Tag before delegating: a cache hit inside the
+                # fallback engine overrides with "cache".
+                tracer.tag_query(item.sql, "fallback")
+                with tracer.span("fallback", sql=item.sql):
+                    results[item.index] = (
+                        self.fallback_engine.execute_timed(item.query)
+                    )
+            stats.fallbacks += 1
+            stats.base_scans += 1
 
     def _run_group(
         self,
@@ -732,6 +745,11 @@ class AggregateRollup:
     def partial_table(self, name: str, partials: list[ResultSet]) -> Table:
         """The merge input: every shard's partial rows, in shard order."""
         return concat_partials(name, self.partial_names, partials)
+
+    @property
+    def is_global(self) -> bool:
+        """True for aggregates without GROUP BY (one output row)."""
+        return not self.merge_group_by
 
     def empty_result(self) -> ResultSet:
         """The result of a grouped rollup with zero qualifying rows."""

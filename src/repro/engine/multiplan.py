@@ -73,7 +73,7 @@ Thread-safety contract (the same leaf-granular discipline as
   executor's (slot-gated) engine, so interleaving with other groups,
   shards, and single-flight leaders is safe.
 - Cache stores happen in the caller (:meth:`BatchExecutor._run_group`
-  or :meth:`MultiPlanShardedRun.merge <repro.sharding.executor>`)
+  or the sharded runs' shared ``merge`` in :mod:`repro.sharding.executor`)
   under the epoch captured before any engine work, so a table
   invalidated mid-compute drops the store instead of caching vanished
   data.
@@ -186,6 +186,15 @@ class MultiPlan:
             from_table=TableRef(relation, alias=alias),
             group_by=self.combined_group_by,
         )
+
+    def partial_query(self, relation: str, base_table: str) -> Query:
+        """The combined pass over one shard's temp, aliased to the base.
+
+        The per-shard query a sharded run sends, with the same
+        signature as :meth:`AggregateRollup.partial_query
+        <repro.engine.batch.AggregateRollup.partial_query>`.
+        """
+        return self.combined_query(relation, alias=base_table)
 
     def partial_table(self, name: str, partials: list[ResultSet]) -> Table:
         """The merge input: every partial's rows, in input order.
@@ -313,31 +322,54 @@ def build_multiplan(
     )
 
 
-def serve_empty_group(
-    executor, classes, merges, fetch_share, results, produced, stats
+def merge_partials(
+    executor, signature, partial, pairs, partials, fetch_share,
+    results, produced, stats, tier="multiplan", charged_ms=0.0,
 ):
-    """Answer every plan of a combined pass that found zero rows.
+    """Answer every (class, merge) pair from one partial's rows.
 
-    Grouped plans have zero groups, so the empty relation is their
-    answer; a *global* plan still owes the engine's own one-row result
-    (COUNT = 0, not the NULL a merge over an empty relation would
-    produce), so it executes directly — over zero qualifying rows.
-    The single home of this edge case, shared by :func:`run_multiplan`
-    and :class:`~repro.sharding.executor.MultiPlanShardedRun`.
+    ``partials`` (the single unsharded pass, or one per shard in shard
+    order) load once as a temp relation built by
+    ``partial.partial_table``, and each pair's merge query
+    re-aggregates it on the engine. With no rows anywhere the round
+    trip is skipped: grouped merges have zero groups, so the empty
+    relation is their answer; a *global* merge still owes the engine's
+    own one-row result (COUNT = 0, not the NULL a merge over an empty
+    relation would produce), so it executes directly — over zero
+    qualifying rows. ``charged_ms`` is partial time already charged to
+    each pair's class. The single merge step of :func:`run_multiplan`
+    and of every sharded run (:mod:`repro.sharding.executor`).
     """
-    for cls, merge in zip(classes, merges):
-        if merge.is_global:
-            direct = executor.engine.execute_timed(cls.merged_query())
-            stats.base_scans += 1
+    engine = executor.engine
+    if not any(p.rows for p in partials):
+        for cls, merge in pairs:
+            if merge.is_global:
+                direct = engine.execute_timed(cls.merged_query())
+                stats.base_scans += 1
+                executor._distribute(
+                    cls, direct.result, charged_ms + direct.duration_ms,
+                    0.0, results, produced, tier=tier,
+                )
+            else:
+                executor._distribute(
+                    cls, merge.empty_result(), charged_ms, fetch_share,
+                    results, produced, tier=tier,
+                )
+        return
+    relation = unique_temp_name(signature.table, signature.predicate_key)
+    engine.load_table(partial.partial_table(relation, partials))
+    try:
+        for cls, merge in pairs:
+            timed = engine.execute_timed(merge.merge_query(relation))
             executor._distribute(
-                cls, direct.result, direct.duration_ms, 0.0,
-                results, produced, tier="multiplan",
+                cls, timed.result, charged_ms + timed.duration_ms,
+                fetch_share, results, produced, tier=tier,
             )
-        else:
-            executor._distribute(
-                cls, merge.empty_result(), 0.0, fetch_share,
-                results, produced, tier="multiplan",
-            )
+    finally:
+        try:
+            engine.unload_table(relation)
+        except ExecutionError:
+            pass  # engine keeps the temp; next load replaces it
 
 
 def run_multiplan(executor, signature, classes, results, stats, produced):
@@ -385,38 +417,20 @@ def run_multiplan(executor, signature, classes, results, stats, produced):
         )
     )
     with cm as span:
-        engine = executor.engine
-        timed = engine.execute_timed(plan.combined_query(signature.table))
+        timed = executor.engine.execute_timed(
+            plan.combined_query(signature.table)
+        )
         stats.base_scans += 1
         stats.multiplan_groups += 1
         stats.multiplan_plans += len(eligible)
         member_count = sum(len(cls.members) for cls in eligible)
         fetch_share = timed.duration_ms / member_count
-        fine = timed.result
         if span is not None:
             span.attrs["combined_ms"] = round(timed.duration_ms, 3)
-
-        if not fine.rows and plan.combined_group_by:
-            serve_empty_group(
-                executor, eligible, plan.plans, fetch_share,
-                results, produced, stats,
-            )
-            return rest
-
-        relation = unique_temp_name(signature.table, signature.predicate_key)
-        engine.load_table(plan.partial_table(relation, [fine]))
-        try:
-            for cls, merge in zip(eligible, plan.plans):
-                merged = engine.execute_timed(merge.merge_query(relation))
-                executor._distribute(
-                    cls, merged.result, merged.duration_ms, fetch_share,
-                    results, produced, tier="multiplan",
-                )
-        finally:
-            try:
-                engine.unload_table(relation)
-            except ExecutionError:
-                pass  # engine keeps the temp; next load replaces it
+        merge_partials(
+            executor, signature, plan, list(zip(eligible, plan.plans)),
+            [timed.result], fetch_share, results, produced, stats,
+        )
     return rest
 
 
@@ -427,6 +441,6 @@ __all__ = [
     "PlanMerge",
     "build_multiplan",
     "eligible_plan",
+    "merge_partials",
     "run_multiplan",
-    "serve_empty_group",
 ]

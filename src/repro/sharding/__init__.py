@@ -9,21 +9,22 @@ as one monolithic task:
 
 - :mod:`repro.sharding.partition` — :class:`Partitioner` /
   :class:`RowRange`, the deterministic near-equal contiguous split.
-- :mod:`repro.sharding.executor` — :class:`ShardedGroupRun`, the
-  per-(group, shard) scan tasks plus the merge step that re-aggregates
-  per-shard partials through the engine; :class:`MultiPlanShardedRun`,
-  the multiplan × shards composition (one combined finest-grouping
-  pass per shard, see :mod:`repro.engine.multiplan`); and
+- :mod:`repro.sharding.executor` — one sharded-run base holding the
+  per-(group, shard) scan tasks, remote jobs and the merge step that
+  re-aggregates per-shard partials through the engine, with two thin
+  leaves: :class:`ShardedGroupRun` (one partial per fusion class) and
+  :class:`MultiPlanShardedRun` (one combined finest-grouping pass per
+  shard, see :mod:`repro.engine.multiplan`); and
   :func:`plan_sharded_group`, the shardability gate.
 
 The aggregate decomposition itself (AVG into SUM/COUNT, the merge
 expressions) lives in the fusion layer —
 :func:`repro.engine.batch.build_rollup` — next to the query fusion it
-extends. The scheduling seam is
-:class:`~repro.concurrency.executor.ScanGroupExecutor`, whose
-``shards`` parameter replaces "one task per group" with "one task per
-(group, shard), then merge"; ``shards=1`` is byte-for-byte the
-pre-existing path.
+extends. The scheduling seam is the one loop in
+:meth:`repro.concurrency.executor.ScanGroupExecutor.run`,
+where ``shards`` replaces "one task per group" with "one task per
+(group, shard), then merge"; on threads ``shards=1`` is byte-for-byte
+the pre-existing path.
 """
 
 from repro.sharding.executor import (

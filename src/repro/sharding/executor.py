@@ -2,13 +2,15 @@
 
 A shardable scan group stops being "one task": it becomes one
 *scan task per shard* — materialize the shard's filtered row range
-(shard-aware ``materialize_filtered``), run every fusion class's
-partial query over it — plus one *merge step* that concatenates the
-per-shard partial rows (in shard order) and re-aggregates them through
-the engine itself. The scheduling substrate is unchanged: each scan
-task is an ordinary unit of work for the concurrency layer's
-``WorkerPool`` / ``execution_slot`` machinery, exactly like an
-unsharded group.
+(shard-aware ``materialize_filtered``), run its partial queries over
+it (one per fusion class, or one combined multi-plan pass) — plus one
+*merge step* that concatenates the per-shard partial rows (in shard
+order) and re-aggregates them through the engine itself. Both kinds of
+run share one lifecycle (``_ShardedRun``); the two leaves only name
+the kind (explain tier, span tag). The scheduling substrate is
+unchanged: each scan task is an ordinary unit of work for the
+concurrency layer's ``WorkerPool`` / ``execution_slot`` machinery,
+exactly like an unsharded group.
 
 Why the result is byte-identical to unsharded execution:
 
@@ -33,7 +35,7 @@ Why the result is byte-identical to unsharded execution:
   boundary on floating-point SUM/AVG.
 
 Thread-safety contract: each scan task writes only its own
-``(class, shard)`` slots of the partial matrix and runs engine calls
+``(feed, shard)`` slots of the partial matrix and runs engine calls
 leaf-granularly (the executor hands this module a slot-gated engine),
 so scan tasks for one group — and for different groups — interleave
 freely. The merge step runs after every scan task of the group has
@@ -58,7 +60,6 @@ from __future__ import annotations
 import time
 
 from repro.engine.batch import (
-    AggregateRollup,
     BatchStats,
     ScanGroup,
     _FusionClass,
@@ -67,6 +68,7 @@ from repro.engine.batch import (
     unique_temp_name,
 )
 from repro.engine.interface import QueryResult, ResultSet
+from repro.engine.multiplan import build_multiplan, merge_partials
 from repro.errors import ExecutionError
 from repro.sharding.partition import Partitioner, RowRange
 from repro.telemetry import metrics as _metrics
@@ -89,48 +91,39 @@ def _adopt_remote_spans(tracer, shard_span, payload) -> None:
         child.thread = f"pid-{payload.pid}"
 
 
-def _materialize_shard(engine, signature, predicate, row_range, shard) -> str:
-    """Materialize one shard's filtered row range; returns the temp name.
+class _ShardedRun:
+    """One scan group's sharded execution state: the shared lifecycle.
 
-    :func:`plan_sharded_group` gates on ``table_row_count``, and
-    engines that report a row count must honor row ranges — failure
-    here means the engine broke that contract.
+    Built by :func:`plan_sharded_group` through one of the two leaves
+    below; the concurrent executor turns :meth:`scan_tasks` (or
+    :meth:`remote_jobs`) into units and calls :meth:`merge` once they
+    have all settled. A run holds a list of *feeds*: each is one
+    per-shard partial query (an :class:`~repro.engine.batch.AggregateRollup`
+    or a :class:`~repro.engine.multiplan.MultiPlan` — anything with
+    ``partial_query``/``partial_table``) paired with the (fusion class,
+    merge) pairs its concatenated rows answer. Every shard runs every
+    feed's partial; the merge loads each feed's partials once and runs
+    each pair's ``merge_query`` over them.
     """
-    temp = unique_temp_name(signature.table, signature.predicate_key)
-    if not engine.materialize_filtered(
-        temp,
-        signature.table,
-        predicate,
-        row_range=(row_range.start, row_range.stop),
-    ):
-        raise ExecutionError(
-            f"engine cannot materialize shard {shard} of "
-            f"{signature.table!r}"
-        )
-    return temp
 
-
-class ShardedGroupRun:
-    """One scan group's sharded execution state.
-
-    Built by :func:`plan_sharded_group`; the concurrent executor turns
-    :meth:`scan_tasks` into pool units and calls :meth:`merge` once
-    they have all settled.
-    """
+    #: Explain tier stamped on every member the merge answers.
+    tier = "sharded"
+    #: Extra attributes on every span the run opens.
+    span_attrs: dict = {}
 
     def __init__(
         self,
         executor,  # ScanGroupExecutor (duck-typed; avoids a cyclic import)
         group: ScanGroup,
-        classes: list[_FusionClass],
-        rollups: list[AggregateRollup],
+        feeds: list,  # [(partial, [(_FusionClass, merge), ...]), ...]
         ranges: list[RowRange],
         epoch: object,
     ) -> None:
         self._executor = executor
-        self._group = group
-        self._classes = classes
-        self._rollups = rollups
+        self._feeds = feeds
+        self._classes: list[_FusionClass] = [
+            cls for _, pairs in feeds for cls, _ in pairs
+        ]
         self._ranges = ranges
         self._epoch = epoch
         signature = group.signature
@@ -139,13 +132,13 @@ class ShardedGroupRun:
         self._predicate = (
             group.members[0].query.where if group.members else None
         )
-        # Disjoint (class, shard) slots: scan tasks on different
-        # threads never write the same cell, so no locking is needed.
+        # Disjoint (feed, shard) slots: scan tasks on different threads
+        # never write the same cell, so no locking is needed.
         self._partials: list[list[ResultSet | None]] = [
-            [None] * len(ranges) for _ in classes
+            [None] * len(ranges) for _ in feeds
         ]
         self._partial_ms: list[list[float]] = [
-            [0.0] * len(ranges) for _ in classes
+            [0.0] * len(ranges) for _ in feeds
         ]
         self._scan_ms: list[float] = [0.0] * len(ranges)
         # The group span opens here, at plan time on the calling thread
@@ -154,7 +147,7 @@ class ShardedGroupRun:
         # explicitly instead of through the context.
         self._tracer = _trace.ACTIVE
         self._span = None
-        if self._tracer is not None and classes:
+        if self._tracer is not None and feeds:
             self._span = self._tracer.begin(
                 "scan_group",
                 table=signature.table,
@@ -162,6 +155,7 @@ class ShardedGroupRun:
                 members=len(group.members),
                 shards=len(ranges),
                 sharded=True,
+                **self.span_attrs,
             )
 
     @property
@@ -175,7 +169,7 @@ class ShardedGroupRun:
         at plan time — a fully warm repeat refresh must not submit
         no-op tasks to the pool.
         """
-        if not self._classes:
+        if not self._feeds:
             return []
         return [
             (lambda shard=shard: self._scan(shard))
@@ -190,7 +184,7 @@ class ShardedGroupRun:
         from its process-wide sequence, so worker-side relations can
         never collide with parent-side ones.
         """
-        if not self._classes:
+        if not self._feeds:
             return []
         from repro.concurrency.procpool import ShardJob
 
@@ -208,8 +202,8 @@ class ShardedGroupRun:
                     stop=row_range.stop,
                     temp=temp,
                     queries=tuple(
-                        rollup.partial_query(temp, signature.table)
-                        for rollup in self._rollups
+                        partial.partial_query(temp, signature.table)
+                        for partial, _ in self._feeds
                     ),
                     predicate=self._predicate,
                 )
@@ -218,6 +212,9 @@ class ShardedGroupRun:
 
     def begin_remote(self, shard: int):
         """Open the parent-side span for a process-dispatched shard."""
+        return self._begin_shard(shard, backend="processes")
+
+    def _begin_shard(self, shard: int, **attrs):
         if self._tracer is None:
             return None
         row_range = self._ranges[shard]
@@ -226,28 +223,36 @@ class ShardedGroupRun:
             parent=self._span,
             shard=shard,
             rows=f"{row_range.start}:{row_range.stop}",
-            backend="processes",
+            **attrs,
+            **self.span_attrs,
         )
 
-    def accept_remote(self, shard: int, payload, span) -> BatchStats:
-        """Install one worker payload into this run's partial matrix."""
-        stats = BatchStats()
-        for index in range(len(self._rollups)):
-            self._partials[index][shard] = payload.partials[index]
-            self._partial_ms[index][shard] = payload.partial_ms[index]
-        self._scan_ms[shard] = payload.scan_ms
+    def _install(self, shard: int, partials, partial_ms) -> None:
+        """Store one shard's partial rows and charge their time.
+
+        A partial that feeds one class charges its time to that class;
+        a shared pass (one partial feeding several classes) pools with
+        the shard's scan, which the merge splits evenly across members
+        — mirroring how the unsharded shared scan charges its members.
+        """
+        for index, (rows, ms) in enumerate(zip(partials, partial_ms)):
+            self._partials[index][shard] = rows
+            if len(self._feeds[index][1]) == 1:
+                self._partial_ms[index][shard] = ms
+            else:
+                self._scan_ms[shard] += ms
         registry = _metrics.ACTIVE
         if registry is not None:
             registry.observe(
-                "shard.scan_ms",
-                payload.scan_ms,
-                table=self._signature.table,
+                "shard.scan_ms", self._scan_ms[shard], table=self.table
             )
-        stats.base_scans += 1
-        stats.shard_scans += 1
-        stats.proc_shard_scans += 1
+
+    def accept_remote(self, shard: int, payload, span) -> BatchStats:
+        """Install one worker payload into this run's partial slots."""
+        self._scan_ms[shard] = payload.scan_ms
+        self._install(shard, payload.partials, payload.partial_ms)
         if span is not None:
-            span.attrs["scan_ms"] = round(payload.scan_ms, 3)
+            span.attrs["scan_ms"] = round(self._scan_ms[shard], 3)
             span.attrs["pid"] = payload.pid
             _adopt_remote_spans(self._tracer, span, payload)
             # repro: allow(RA102) — span was created by this run's own
@@ -255,62 +260,63 @@ class ShardedGroupRun:
             # the tracer is bound; the guard is one call away in the
             # remote-collection path, out of lexical reach.
             self._tracer.finish(span)
-        return stats
+        return BatchStats(base_scans=1, shard_scans=1, proc_shard_scans=1)
 
     def _scan(self, shard: int) -> BatchStats:
-        """Materialize one shard's rows and run every partial query."""
-        stats = BatchStats()
+        """Materialize one shard's rows and run every feed's partial."""
         engine = self._executor.engine
         tracer = self._tracer
-        span = None
-        if tracer is not None:
-            row_range = self._ranges[shard]
-            span = tracer.begin(
-                f"shard[{shard}]",
-                parent=self._span,
-                shard=shard,
-                rows=f"{row_range.start}:{row_range.stop}",
-            )
+        span = self._begin_shard(shard)  # bound exactly when tracer is
         try:
             start = time.perf_counter()
-            temp = _materialize_shard(
-                engine, self._signature, self._predicate,
-                self._ranges[shard], shard,
-            )
-            self._scan_ms[shard] = (time.perf_counter() - start) * 1000.0
-            registry = _metrics.ACTIVE
-            if registry is not None:
-                registry.observe(
-                    "shard.scan_ms",
-                    self._scan_ms[shard],
-                    table=self._signature.table,
+            signature = self._signature
+            row_range = self._ranges[shard]
+            temp = unique_temp_name(signature.table, signature.predicate_key)
+            # plan_sharded_group gates on table_row_count, and engines
+            # that report a row count must honor row ranges — failure
+            # here means the engine broke that contract.
+            if not engine.materialize_filtered(
+                temp, signature.table, self._predicate,
+                row_range=(row_range.start, row_range.stop),
+            ):
+                raise ExecutionError(
+                    f"engine cannot materialize shard {shard} of "
+                    f"{signature.table!r}"
                 )
-            stats.base_scans += 1
-            stats.shard_scans += 1
+            self._scan_ms[shard] = (time.perf_counter() - start) * 1000.0
             try:
-                for index, rollup in enumerate(self._rollups):
-                    timed = engine.execute_timed(
-                        rollup.partial_query(temp, self._signature.table)
+                timed = [
+                    engine.execute_timed(
+                        partial.partial_query(temp, signature.table)
                     )
-                    self._partials[index][shard] = timed.result
-                    self._partial_ms[index][shard] = timed.duration_ms
+                    for partial, _ in self._feeds
+                ]
             finally:
                 try:
                     engine.unload_table(temp)
                 except ExecutionError:
                     pass  # engine keeps the temp; next load replaces it
+            self._install(
+                shard,
+                [t.result for t in timed],
+                [t.duration_ms for t in timed],
+            )
         finally:
-            if span is not None:
+            if tracer is not None:
                 span.attrs["scan_ms"] = round(self._scan_ms[shard], 3)
                 tracer.finish(span)
-        return stats
+        return BatchStats(base_scans=1, shard_scans=1)
 
     def merge(self, results: list[QueryResult | None]) -> BatchStats:
-        """Roll every class's partials up into final member results."""
+        """Roll every feed's partials up into final member results."""
         stats = BatchStats()
-        if not self._classes:
+        if not self._feeds:
             return stats
         stats.sharded_groups = 1
+        for _, pairs in self._feeds:
+            if len(pairs) > 1:  # one combined pass answering every class
+                stats.multiplan_groups += 1
+                stats.multiplan_plans += len(pairs)
         executor = self._executor
         engine = executor.engine
         signature = self._signature
@@ -322,41 +328,20 @@ class ShardedGroupRun:
                 parent=self._span,
                 table=signature.table,
                 classes=len(self._classes),
+                **self.span_attrs,
             )
         try:
             produced: dict[str, ResultSet] = {}
             member_count = sum(len(c.members) for c in self._classes)
             fetch_share = sum(self._scan_ms) / member_count
-            for index, (cls, rollup) in enumerate(
-                zip(self._classes, self._rollups)
+            for (partial, pairs), partials, partial_ms in zip(
+                self._feeds, self._partials, self._partial_ms
             ):
-                partials = self._partials[index]
                 assert all(p is not None for p in partials)
-                duration_ms = sum(self._partial_ms[index])
-                if not any(p.rows for p in partials):
-                    # A grouped aggregate over zero qualifying rows: no
-                    # groups anywhere, so the merge relation would be empty
-                    # — skip the engine round trip.
-                    merged = rollup.empty_result()
-                else:
-                    relation = unique_temp_name(
-                        signature.table, signature.predicate_key
-                    )
-                    engine.load_table(rollup.partial_table(relation, partials))
-                    try:
-                        timed = engine.execute_timed(
-                            rollup.merge_query(relation)
-                        )
-                    finally:
-                        try:
-                            engine.unload_table(relation)
-                        except ExecutionError:
-                            pass
-                    merged = timed.result
-                    duration_ms += timed.duration_ms
-                executor._distribute(
-                    cls, merged, duration_ms, fetch_share, results, produced,
-                    tier="sharded",
+                merge_partials(
+                    executor, signature, partial, pairs, partials,
+                    fetch_share, results, produced, stats,
+                    tier=self.tier, charged_ms=sum(partial_ms),
                 )
             if executor.group_cache is not None and produced:
                 executor.group_cache.store(
@@ -372,9 +357,29 @@ class ShardedGroupRun:
                     tracer.finish(self._span)
         return stats
 
+    def abort(self) -> None:
+        """Close the group span of a run whose batch failed (idempotent).
 
-class MultiPlanShardedRun:
-    """One scan group's sharded *multi-plan* execution state.
+        The scheduler calls this on every planned run before raising,
+        so a failed batch leaves no span open, whether the run's merge
+        ran, raised, or never started.
+        """
+        if self._span is not None and self._span.end_ms is None:
+            self._tracer.finish(self._span)
+
+
+class ShardedGroupRun(_ShardedRun):
+    """Per-class sharding: each shard runs one partial query per class.
+
+    One feed per fusion class, whose
+    :class:`~repro.engine.batch.AggregateRollup` is both the feed's
+    partial and its merge, so each class merges over its own
+    concatenated per-shard partials.
+    """
+
+
+class MultiPlanShardedRun(_ShardedRun):
+    """Sharded *multi-plan* execution: one combined pass per shard.
 
     The multiplan × shards composition: each shard task materializes
     its filtered row range and runs **one combined finest-grouping
@@ -387,259 +392,13 @@ class MultiPlanShardedRun:
     finest partials concatenated in shard order preserve
     first-occurrence composition (shards are contiguous), and each
     class's merge re-aggregates its key subset through the engine
-    itself. Thread-safety mirrors :class:`ShardedGroupRun`: scan tasks
-    write disjoint per-shard slots, the merge runs single-threaded
-    after all tasks settle, and cache stores carry the pre-captured
-    epoch.
+    itself. Its one feed answers every class; the planner only builds
+    one for two or more classes left after cache serving, so its
+    :meth:`scan_tasks` is never empty.
     """
 
-    def __init__(
-        self,
-        executor,  # ScanGroupExecutor (duck-typed; avoids a cyclic import)
-        group: ScanGroup,
-        classes: list[_FusionClass],
-        plan,  # repro.engine.multiplan.MultiPlan
-        ranges: list[RowRange],
-        epoch: object,
-    ) -> None:
-        self._executor = executor
-        self._group = group
-        self._classes = classes
-        self._plan = plan
-        self._ranges = ranges
-        self._epoch = epoch
-        signature = group.signature
-        assert signature is not None
-        self._signature = signature
-        self._predicate = (
-            group.members[0].query.where if group.members else None
-        )
-        # Disjoint per-shard slots: scan tasks on different threads
-        # never write the same cell, so no locking is needed.
-        self._partials: list[ResultSet | None] = [None] * len(ranges)
-        self._scan_ms: list[float] = [0.0] * len(ranges)
-        # Cross-thread group span, as in ShardedGroupRun: opened at
-        # plan time on the caller, closed by merge().
-        self._tracer = _trace.ACTIVE
-        self._span = None
-        if self._tracer is not None:
-            self._span = self._tracer.begin(
-                "scan_group",
-                table=signature.table,
-                group_key=signature.predicate_key,
-                members=len(group.members),
-                shards=len(ranges),
-                sharded=True,
-                multiplan=True,
-            )
-
-    @property
-    def table(self) -> str:
-        return self._signature.table
-
-    def scan_tasks(self):
-        """One callable per shard; each returns its stats delta.
-
-        Unlike :class:`ShardedGroupRun`, this is never empty: the
-        planner only builds a multiplan run for two or more classes
-        left after cache serving (a fully warm group never gets here).
-        """
-        return [
-            (lambda shard=shard: self._scan(shard))
-            for shard in range(len(self._ranges))
-        ]
-
-    def remote_jobs(self, export):
-        """One :class:`ShardJob` per shard: the single combined query."""
-        from repro.concurrency.procpool import ShardJob
-
-        signature = self._signature
-        jobs = []
-        for shard, row_range in enumerate(self._ranges):
-            temp = unique_temp_name(signature.table, signature.predicate_key)
-            jobs.append(
-                ShardJob(
-                    export_id=export.spec.export_id,
-                    version=export.spec.version,
-                    table=signature.table,
-                    shard=shard,
-                    start=row_range.start,
-                    stop=row_range.stop,
-                    temp=temp,
-                    queries=(
-                        self._plan.combined_query(
-                            temp, alias=signature.table
-                        ),
-                    ),
-                    predicate=self._predicate,
-                )
-            )
-        return jobs
-
-    def begin_remote(self, shard: int):
-        """Open the parent-side span for a process-dispatched shard."""
-        if self._tracer is None:
-            return None
-        row_range = self._ranges[shard]
-        return self._tracer.begin(
-            f"shard[{shard}]",
-            parent=self._span,
-            shard=shard,
-            rows=f"{row_range.start}:{row_range.stop}",
-            backend="processes",
-            multiplan=True,
-        )
-
-    def accept_remote(self, shard: int, payload, span) -> BatchStats:
-        """Install one worker payload into this run's partial slots."""
-        stats = BatchStats()
-        self._partials[shard] = payload.partials[0]
-        # One shared pass per shard, as on the thread path: its query
-        # time pools with the scan for fetch-share accounting.
-        self._scan_ms[shard] = payload.scan_ms + payload.partial_ms[0]
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.observe(
-                "shard.scan_ms",
-                self._scan_ms[shard],
-                table=self._signature.table,
-            )
-        stats.base_scans += 1
-        stats.shard_scans += 1
-        stats.proc_shard_scans += 1
-        if span is not None:
-            span.attrs["scan_ms"] = round(self._scan_ms[shard], 3)
-            span.attrs["pid"] = payload.pid
-            _adopt_remote_spans(self._tracer, span, payload)
-            # repro: allow(RA102) — as in ShardedGroupRun.accept_remote:
-            # span non-None implies the plan-time tracer is bound; the
-            # None-guard lives in the caller that minted the span.
-            self._tracer.finish(span)
-        return stats
-
-    def _scan(self, shard: int) -> BatchStats:
-        """Materialize one shard's rows, run the one combined query."""
-        stats = BatchStats()
-        engine = self._executor.engine
-        tracer = self._tracer
-        span = None
-        if tracer is not None:
-            row_range = self._ranges[shard]
-            span = tracer.begin(
-                f"shard[{shard}]",
-                parent=self._span,
-                shard=shard,
-                rows=f"{row_range.start}:{row_range.stop}",
-                multiplan=True,
-            )
-        try:
-            start = time.perf_counter()
-            temp = _materialize_shard(
-                engine, self._signature, self._predicate,
-                self._ranges[shard], shard,
-            )
-            stats.base_scans += 1
-            stats.shard_scans += 1
-            try:
-                timed = engine.execute_timed(
-                    self._plan.combined_query(
-                        temp, alias=self._signature.table
-                    )
-                )
-                self._partials[shard] = timed.result
-                # One shared pass per shard: its cost pools with the scan
-                # (split evenly across members at merge time), mirroring
-                # how the unsharded shared scan charges its members.
-                self._scan_ms[shard] = (
-                    (time.perf_counter() - start) * 1000.0
-                )
-                registry = _metrics.ACTIVE
-                if registry is not None:
-                    registry.observe(
-                        "shard.scan_ms",
-                        self._scan_ms[shard],
-                        table=self._signature.table,
-                    )
-            finally:
-                try:
-                    engine.unload_table(temp)
-                except ExecutionError:
-                    pass  # engine keeps the temp; next load replaces it
-        finally:
-            if span is not None:
-                span.attrs["scan_ms"] = round(self._scan_ms[shard], 3)
-                tracer.finish(span)
-        return stats
-
-    def merge(self, results: list[QueryResult | None]) -> BatchStats:
-        """Derive every class's result from the concatenated partials."""
-        stats = BatchStats()
-        stats.sharded_groups = 1
-        stats.multiplan_groups = 1
-        stats.multiplan_plans = len(self._classes)
-        executor = self._executor
-        engine = executor.engine
-        signature = self._signature
-        plan = self._plan
-        partials = self._partials
-        assert all(p is not None for p in partials)
-        tracer = self._tracer
-        merge_span = None
-        if tracer is not None:
-            merge_span = tracer.begin(
-                "rollup_merge",
-                parent=self._span,
-                table=signature.table,
-                classes=len(self._classes),
-                multiplan=True,
-            )
-        try:
-            produced: dict[str, ResultSet] = {}
-            member_count = sum(len(c.members) for c in self._classes)
-            fetch_share = sum(self._scan_ms) / member_count
-            if not any(p.rows for p in partials):
-                # Zero qualifying rows anywhere. (Unreachable when every
-                # plan is global: a keyless combined query always yields a
-                # row per shard.)
-                from repro.engine.multiplan import serve_empty_group
-
-                serve_empty_group(
-                    executor, self._classes, plan.plans, fetch_share,
-                    results, produced, stats,
-                )
-            else:
-                relation = unique_temp_name(
-                    signature.table, signature.predicate_key
-                )
-                engine.load_table(plan.partial_table(relation, partials))
-                try:
-                    for cls, plan_merge in zip(self._classes, plan.plans):
-                        timed = engine.execute_timed(
-                            plan_merge.merge_query(relation)
-                        )
-                        executor._distribute(
-                            cls, timed.result, timed.duration_ms,
-                            fetch_share, results, produced,
-                            tier="multiplan",
-                        )
-                finally:
-                    try:
-                        engine.unload_table(relation)
-                    except ExecutionError:
-                        pass
-            if executor.group_cache is not None and produced:
-                executor.group_cache.store(
-                    signature.table,
-                    signature.predicate_key,
-                    produced,
-                    epoch=self._epoch,
-                )
-        finally:
-            if tracer is not None:
-                tracer.finish(merge_span)
-                if self._span is not None:
-                    tracer.finish(self._span)
-        return stats
+    tier = "multiplan"
+    span_attrs = {"multiplan": True}
 
 
 def plan_sharded_group(
@@ -710,15 +469,12 @@ def plan_sharded_group(
         and pending
         and pending[0].query.where is None
     ):
-        from repro.engine.multiplan import build_multiplan
-
         combined = build_multiplan([cls.merged_query() for cls in classes])
         if combined is not None:
             return MultiPlanShardedRun(
                 executor,
                 group,
-                classes,
-                combined,
+                [(combined, list(zip(classes, combined.plans)))],
                 partitioner.split(row_count),
                 epoch,
             )
@@ -730,8 +486,7 @@ def plan_sharded_group(
     return ShardedGroupRun(
         executor,
         group,
-        classes,
-        rollups,
+        [(rollup, [(cls, rollup)]) for cls, rollup in zip(classes, rollups)],
         partitioner.split(row_count),
         epoch,
     )

@@ -118,6 +118,59 @@ def test_byte_identity_matrix(engine_name, backend, shards, multiplan):
     assert _run(engine_name, policy) == serial
 
 
+#: Full ``BatchStats`` of every vectorstore cell of the matrix above,
+#: keyed by (backend, shards, multiplan); fields not listed are zero.
+#: Processes ship both shardable groups even at shards=1 (one job each).
+_CELL_STATS = {
+    ("threads", 1, False): dict(base_scans=5, shared_scans=1),
+    ("threads", 1, True): dict(
+        base_scans=3, shared_scans=1, multiplan_groups=1, multiplan_plans=3
+    ),
+    ("threads", 4, False): dict(
+        base_scans=9, sharded_groups=2, shard_scans=8
+    ),
+    ("threads", 4, True): dict(
+        base_scans=9, sharded_groups=2, shard_scans=8,
+        multiplan_groups=1, multiplan_plans=3,
+    ),
+    ("processes", 1, False): dict(
+        base_scans=3, sharded_groups=2, shard_scans=2, proc_shard_scans=2
+    ),
+    ("processes", 1, True): dict(
+        base_scans=3, sharded_groups=2, shard_scans=2, proc_shard_scans=2,
+        multiplan_groups=1, multiplan_plans=3,
+    ),
+    ("processes", 4, False): dict(
+        base_scans=9, sharded_groups=2, shard_scans=8, proc_shard_scans=8
+    ),
+    ("processes", 4, True): dict(
+        base_scans=9, sharded_groups=2, shard_scans=8, proc_shard_scans=8,
+        multiplan_groups=1, multiplan_plans=3,
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_CELL_STATS))
+def test_batch_stats_per_policy_cell(cell):
+    from repro.engine.batch import BatchStats
+
+    backend, shards, multiplan = cell
+    engine = create_engine("vectorstore")
+    engine.load_table(make_calls_table())
+    policy = ExecutionPolicy(
+        workers=2, shards=shards, multiplan=multiplan, backend=backend
+    )
+    executor = ScanGroupExecutor(engine, policy)
+    try:
+        stats = executor.run(_queries()).stats
+    finally:
+        executor.close()
+        engine.close()
+    assert stats == BatchStats(
+        queries=7, groups=3, fused_queries=1, **_CELL_STATS[cell]
+    )
+
+
 def test_process_backend_actually_runs_shards_in_processes():
     engine = create_engine("vectorstore")
     engine.load_table(make_calls_table())
@@ -208,6 +261,62 @@ def test_worker_death_does_not_leak_segments():
         executor.close()
         pool.shutdown()
         engine.close()
+
+
+@pytest.mark.parametrize("multiplan", [False, True])
+@pytest.mark.parametrize("engine_name", ["vectorstore", "sqlite"])
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_failed_batch_settles_every_shard_and_closes_spans(
+    backend, engine_name, multiplan
+):
+    """A group failing beside a sharded one leaves nothing in flight.
+
+    The ``other`` group (HAVING: cannot shard) fails on its own task;
+    the sharded ``events`` group's local tasks or remote jobs must
+    still all settle and every span of its run must close before the
+    error surfaces.
+    """
+    from repro.engine.table import Table
+    from repro.telemetry import Telemetry, validate_spans
+    from tests.test_sharding import _events_table
+
+    engine = create_engine(engine_name)
+    engine.load_table(_events_table())
+    engine.load_table(
+        Table.from_columns(
+            "other", {"queue": ["a", "b"] * 10, "priority": list(range(20))}
+        )
+    )
+    sql = [
+        "SELECT queue, COUNT(*) AS n, SUM(priority) AS s FROM events "
+        "GROUP BY queue"
+    ]
+    if multiplan:
+        # A second class makes the events group a multi-plan run.
+        sql.append(
+            "SELECT status, MAX(priority) AS m FROM events GROUP BY status"
+        )
+    sql.append(
+        "SELECT queue, COUNT(*) FROM other GROUP BY queue "
+        "HAVING COUNT(nosuch) > 0"
+    )
+    policy = ExecutionPolicy(
+        workers=2, shards=2, multiplan=multiplan, backend=backend
+    )
+    telemetry = Telemetry()
+    try:
+        with telemetry.install():
+            with pytest.raises(ExecutionError):
+                engine.execute_batch([parse_query(s) for s in sql], policy)
+    finally:
+        engine.close()
+    spans = telemetry.tracer.spans()
+    assert [s.name for s in spans if s.end_ms is None] == []
+    assert validate_spans(spans) == []
+    shard_spans = [s for s in spans if s.name.startswith("shard[")]
+    assert len(shard_spans) == 2
+    if backend == "processes":
+        assert all("pid" in s.attrs for s in shard_spans)
 
 
 # ---------------------------------------------------------------------------
