@@ -1,10 +1,11 @@
-"""Shared helpers for the reproduction benchmarks.
+"""Shared helpers for the paper benchmarks.
 
 Each benchmark regenerates one table or figure from the paper's
 evaluation (§6), prints the corresponding rows, and writes them to
-``benchmarks/results/`` so EXPERIMENTS.md can reference stable outputs.
+``benchmarks/results/<name>.txt`` (ignored by git; CI uploads them).
 Absolute numbers differ from the paper (simulated engines, laptop
-scale); assertions check the *shape* claims instead.
+scale); assertions check the *shape* claims instead. The table in
+``docs/BENCHMARKS.md`` lists every benchmark with its status.
 """
 
 from __future__ import annotations
@@ -20,30 +21,6 @@ BENCH_ROWS = int(os.environ.get("SIMBA_BENCH_ROWS", "20000"))
 
 #: Runs per parameter combination (the paper uses 8 on a 48-core server).
 BENCH_RUNS = int(os.environ.get("SIMBA_BENCH_RUNS", "2"))
-
-
-def policy_block(policy) -> dict:
-    """The artifact config block for an ExecutionPolicy.
-
-    Every ``BENCH_*.json`` embeds the policy it measured — the knob
-    values plus the one-line ``describe()`` summary — so a result file
-    is self-describing about how its queries executed.
-    """
-    block = dict(policy.knobs())
-    block["summary"] = policy.describe()
-    return block
-
-
-def telemetry_block(telemetry) -> dict:
-    """The artifact telemetry block for a finished Telemetry bundle.
-
-    A thin alias for :func:`repro.telemetry.export.telemetry_snapshot`
-    so benchmarks embed the same schema the docs describe: metric
-    snapshot, span counts by name, and the per-tier query histogram.
-    """
-    from repro.telemetry import telemetry_snapshot
-
-    return telemetry_snapshot(telemetry)
 
 
 def write_result(name: str, text: str) -> None:

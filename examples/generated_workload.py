@@ -89,8 +89,7 @@ def preset_duel() -> None:
         assert a.columns == b.columns and a.rows == b.rows
     print(
         "  verified: byte-identical results — the shards only cost "
-        "dispatch and merge here (benchmarks/bench_workloadgen.py "
-        "records the full preset x engine loss matrix)"
+        "dispatch and merge here"
     )
     print()
 

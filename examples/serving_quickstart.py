@@ -152,8 +152,8 @@ def main() -> None:
     print(
         "One process, many tenants: sessions are cheap bookkeeping, "
         "engines are shared and refcounted, and the cross-session cache "
-        "turns co-tenant refreshes into lookups. bench_serving.py "
-        "measures what this sustains under 500 simulated users."
+        "turns co-tenant refreshes into lookups. tools/check_serving.py "
+        "soaks it with simulated users over HTTP."
     )
 
 

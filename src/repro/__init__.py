@@ -27,7 +27,7 @@ importable piecewise. The pre-policy per-knob keywords
 2.0.0; ``policy=`` is the only way to say how a batch executes.
 
 See docs/ARCHITECTURE.md for the full system inventory and
-docs/BENCHMARKS.md for the benchmark artifacts and what they measure.
+docs/BENCHMARKS.md for the benchmarks and what they measure.
 """
 
 from repro.algebra import GOAL_TEMPLATES, get_template, translate

@@ -1,9 +1,9 @@
 """Engine instrumentation for tests and benchmarks.
 
 Not part of the execution path: wrappers here observe engine traffic so
-the test suite and ``benchmarks/bench_batch_executor.py`` can verify
-optimizer claims (scan counts) at the engine boundary instead of
-trusting an executor's self-reported statistics.
+the test suite and the examples can verify optimizer claims (scan
+counts) at the engine boundary instead of trusting an executor's
+self-reported statistics.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class CountingEngine(Engine):
             )
         if done:
             # A native shared scan reads the base table once; a sharded
-            # scan reads one row range, counted per shard so benchmarks
-            # can report per-shard scan counts.
+            # scan reads one row range, counted per shard so tests
+            # can pin per-shard scan counts.
             with self._lock:
                 self.scans[source] = self.scans.get(source, 0) + 1
                 if row_range is not None:

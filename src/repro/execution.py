@@ -27,7 +27,7 @@ down (there are no scan groups to shard or combine outside batch mode);
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 
@@ -236,7 +236,7 @@ class ExecutionPolicy:
     # -- introspection ------------------------------------------------------
 
     def describe(self) -> str:
-        """One-line human summary (CLIs print it, BENCH artifacts embed it)."""
+        """One-line human summary (the CLIs print it at startup)."""
         if not self.batch:
             if self.workers > 1:
                 return (
@@ -258,10 +258,6 @@ class ExecutionPolicy:
     def evolve(self, **changes: object) -> "ExecutionPolicy":
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)
-
-    def knobs(self) -> dict[str, object]:
-        """The policy as a plain knob mapping (artifact/config blocks)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _auto_workers() -> int:

@@ -38,7 +38,6 @@ from repro.serving.app import ServingApp
 from repro.serving.cache import CacheStats, CrossSessionCache
 from repro.serving.config import ServingConfig
 from repro.serving.loadgen import (
-    InProcessClient,
     LoadReport,
     SimulatedUser,
     run_load,
@@ -59,7 +58,6 @@ __all__ = [
     "CrossSessionCache",
     "DashboardServer",
     "EngineHost",
-    "InProcessClient",
     "LoadReport",
     "ServedSession",
     "ServerReply",

@@ -21,10 +21,9 @@ Between operations users sleep an exponentially distributed think-time
 the way real clients should: a 429 honors ``Retry-After``; a 404
 (expired session) re-creates and replays from the default state.
 
-:class:`InProcessClient` drives a :class:`~repro.serving.app.ServingApp`
-directly (transport excluded — the honest framing for single-core
-latency numbers); :class:`~repro.serving.server.ServingClient` drives
-the same interface over HTTP for the soak.
+Users talk through the :class:`~repro.serving.server.ServingClient`
+interface; ``tools/check_serving.py`` drives a
+:class:`~repro.serving.server.DashboardServer` with it over HTTP.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from repro.dashboard.state import DashboardState, InteractionKind
 from repro.engine.table import Table
 from repro.errors import AdmissionError, ServingError, UnknownSessionError
 from repro.idebench.simulator import IDEBenchConfig
-from repro.serving.app import ServingApp
 from repro.serving.protocol import encode_interaction
 from repro.serving.server import ServerReply
 from repro.simulation.markov import MarkovModel
@@ -50,33 +48,6 @@ from repro.telemetry.metrics import _percentile
 MAX_BACKOFF_S = 0.5
 
 _CLEAR_KINDS = (InteractionKind.WIDGET_CLEAR, InteractionKind.VIZ_CLEAR)
-
-
-class InProcessClient:
-    """The :class:`~repro.serving.server.ServingClient` interface, minus HTTP."""
-
-    def __init__(self, app: ServingApp) -> None:
-        self.app = app
-
-    def create_session(
-        self, tenant: str, dashboard: str, engine=None, policy=None
-    ) -> dict:
-        return self.app.create_session(tenant, dashboard, engine, policy)
-
-    def describe_session(self, session_id: str) -> dict:
-        return self.app.describe_session(session_id)
-
-    def close_session(self, session_id: str) -> dict:
-        return self.app.close_session(session_id)
-
-    def refresh(self, session_id: str, viz_ids=None) -> dict:
-        return self.app.refresh(session_id, viz_ids)
-
-    def interact(self, session_id: str, interaction) -> tuple:
-        return self.app.interact(session_id, interaction)
-
-    def stats(self) -> dict:
-        return self.app.stats()
 
 
 @dataclass(frozen=True)
@@ -133,7 +104,7 @@ class LoadReport:
         return self.completed / self.wall_s if self.wall_s else 0.0
 
     def summary(self) -> dict:
-        """The JSON-safe block ``bench_serving`` embeds verbatim."""
+        """Counts, rates and latency percentiles as a JSON-safe dict."""
         latencies = self._latencies()
         return {
             "users": self.users,
@@ -337,9 +308,9 @@ def run_load(
 ) -> LoadReport:
     """Run ``users`` simulated users to completion; returns the report.
 
-    ``client_factory`` is called once per user (pass ``lambda:
-    InProcessClient(app)`` or ``lambda: ServingClient(url)``); users are
-    spread round-robin over ``tenants`` tenant labels.
+    ``client_factory`` is called once per user (for example ``lambda:
+    ServingClient(url)``); users are spread round-robin over
+    ``tenants`` tenant labels.
     """
     report = LoadReport(users=users, wall_s=0.0)
     report_lock = threading.Lock()
@@ -377,7 +348,6 @@ def run_load(
 
 
 __all__ = [
-    "InProcessClient",
     "LoadReport",
     "OpRecord",
     "SimulatedUser",

@@ -21,9 +21,9 @@ Consumers: ``repro.connect(..., telemetry=)`` scopes a bundle around
 every session operation; ``Session.explain(dashboard)`` reports each
 query's answering tier; ``--trace FILE`` on the harness and
 logs-replay CLIs writes a Perfetto-loadable Chrome trace
-(:mod:`repro.telemetry.export`); benchmarks embed
-:func:`~repro.telemetry.export.telemetry_snapshot` blocks in their
-``BENCH_*`` artifacts.
+(:mod:`repro.telemetry.export`);
+:func:`~repro.telemetry.export.telemetry_snapshot` condenses a finished
+bundle into one plain-JSON block.
 """
 
 from __future__ import annotations

@@ -7,10 +7,9 @@ Two consumers:
   thread-name metadata — loadable directly in Perfetto /
   ``chrome://tracing``, one timeline row per worker thread, spans
   nested by start/duration containment.
-- ``BENCH_*`` artifacts embed :func:`telemetry_snapshot` — a compact
-  plain-JSON block (metric snapshot + span tallies + tier histogram)
-  so a result file records *how* its queries executed, not just how
-  long they took.
+- :func:`telemetry_snapshot` — a compact plain-JSON block (metric
+  snapshot + span tallies + tier histogram) that records *how* a run's
+  queries executed, not just how long they took.
 
 The validators are the schema checkers the tests and the CI traced
 replay step (``tools/check_trace.py``) run: every span closed,
@@ -182,12 +181,12 @@ def validate_trace_file(path) -> list[str]:
 
 
 def telemetry_snapshot(telemetry) -> dict:
-    """The plain-JSON telemetry block embedded in ``BENCH_*`` artifacts.
+    """The plain-JSON telemetry block for a finished bundle.
 
     ``telemetry`` is a :class:`repro.telemetry.Telemetry` bundle. The
     block is intentionally compact: the full metric snapshot, span
     counts by name, and how many queries each tier answered — enough
-    to read an artifact and know which optimizer tiers did the work.
+    to read a run's record and know which optimizer tiers did the work.
     """
     spans = telemetry.tracer.spans()
     by_name: dict[str, int] = {}

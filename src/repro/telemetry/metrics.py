@@ -171,8 +171,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Plain-JSON view of everything recorded (sorted keys).
 
-        The shape embedded into ``BENCH_*`` artifacts
-        (:func:`repro.telemetry.export.telemetry_snapshot`)::
+        The ``metrics`` block of
+        :func:`repro.telemetry.export.telemetry_snapshot`::
 
             {"counters": {...}, "gauges": {...},
              "histograms": {name: {count,min,max,mean,p50,p95,p99}}}

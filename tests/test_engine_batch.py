@@ -270,6 +270,42 @@ def test_filtered_refresh_uses_one_base_scan(engine_name):
     assert sequential_scans >= 2 * batch_scans
 
 
+#: Base scans of a six-step filtering walk per library dashboard:
+#: (sequential, batched). Batched is one per refresh; the totals are
+#: 138 -> 36. The counts are the same at 300 and 2,000 rows.
+_WALK_SCANS = {
+    "circulation": (12, 6),
+    "customer_service": (30, 6),
+    "it_monitor": (18, 6),
+    "myride": (12, 6),
+    "supply_chain": (36, 6),
+    "ubc_energy": (30, 6),
+}
+
+
+@pytest.mark.parametrize("dashboard", DASHBOARD_NAMES)
+def test_interaction_walk_uses_one_base_scan_per_refresh(dashboard):
+    table = generate_dataset(dashboard, 300, seed=17)
+    state = DashboardState(load_dashboard(dashboard), table)
+    _, *refreshes = _interaction_walk(state, random.Random(41), steps=6)
+    counting = CountingEngine(create_engine("vectorstore"))
+    counting.load_table(table)
+
+    sequential = [[counting.execute(q) for q in qs] for qs in refreshes]
+    sequential_scans = counting.base_scans()
+
+    counting.reset()
+    executor = BatchExecutor(counting)
+    batched = [
+        [t.result for t in executor.run(qs).results] for qs in refreshes
+    ]
+    batch_scans = counting.base_scans()
+    counting.close()
+
+    assert batched == sequential
+    assert (sequential_scans, batch_scans) == _WALK_SCANS[dashboard]
+
+
 def test_temp_relation_is_unloaded_after_batch():
     engine = create_engine("rowstore")
     engine.load_table(_mix_table())

@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.concurrency import ScanGroupExecutor
-from repro.dashboard.library import load_dashboard
+from repro.dashboard.library import DASHBOARD_NAMES, load_dashboard
 from repro.dashboard.state import DashboardState
 from repro.engine.batch import TEMP_PREFIX, BatchExecutor
 from repro.engine.cache import CachedEngine
@@ -239,6 +239,39 @@ def test_multiplan_collapses_unfiltered_group_to_one_scan():
     assert result.stats.multiplan_plans == 4
     assert result.stats.base_scans == 1
     counting.close()
+
+
+#: Base scans of each library dashboard's cold render without the
+#: combined pass: one per fusion class (21 in all). With it, one each.
+_RENDER_SCANS = {
+    "circulation": 1,
+    "customer_service": 4,
+    "it_monitor": 3,
+    "myride": 2,
+    "supply_chain": 6,
+    "ubc_energy": 5,
+}
+
+
+@pytest.mark.parametrize("dashboard", DASHBOARD_NAMES)
+def test_multiplan_cold_render_is_one_scan_per_dashboard(dashboard):
+    table = generate_dataset(dashboard, 300, seed=17)
+    render = DashboardState(load_dashboard(dashboard), table).initial_queries()
+    counting = CountingEngine(create_engine("vectorstore"))
+    counting.load_table(table)
+
+    BatchExecutor(
+        counting, ExecutionPolicy(multiplan=False)
+    ).run(list(render))
+    per_class_scans = counting.base_scans()
+
+    counting.reset()
+    BatchExecutor(counting, ExecutionPolicy(multiplan=True)).run(list(render))
+    combined_scans = counting.base_scans()
+    counting.close()
+
+    assert per_class_scans == _RENDER_SCANS[dashboard] <= len(render)
+    assert combined_scans == 1
 
 
 def test_multiplan_off_is_the_exact_preexisting_path():
