@@ -53,13 +53,9 @@ class RefreshJob:
     policy: object = None  # ExecutionPolicy | preset name | None
 
     def __post_init__(self) -> None:
-        from repro.execution import ExecutionPolicy, coerce_policy
+        from repro.execution import coerce_policy
 
-        self.policy = (
-            ExecutionPolicy()
-            if self.policy is None
-            else coerce_policy(self.policy)
-        )
+        self.policy = coerce_policy(self.policy)
 
 
 def refresh_many(

@@ -7,7 +7,10 @@
 - :mod:`repro.dashboard.graph` — the interaction-layer graph;
 - :mod:`repro.dashboard.state` — dashboard state and filter propagation;
 - :mod:`repro.dashboard.datalayer` — node -> SQL query generation;
-- :mod:`repro.dashboard.library` — the six paper dashboards.
+- :mod:`repro.dashboard.library` — the six paper dashboards, each
+  defined once by its JSON file under ``specs/``. To add a library
+  dashboard, add ``specs/<name>.json`` and a matching generator in
+  :mod:`repro.workload.datasets`.
 """
 
 from repro.dashboard.graph import DashboardGraph

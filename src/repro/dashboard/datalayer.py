@@ -178,9 +178,9 @@ class RefreshPlan:
         groups (:mod:`repro.sharding`, :mod:`repro.engine.multiplan`).
         All policies produce identical result sets.
         """
-        from repro.execution import ExecutionPolicy, coerce_policy
+        from repro.execution import coerce_policy
 
-        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
+        policy = coerce_policy(policy)
         # The engine dispatches every policy, including the sequential
         # (batch=False) path — one implementation, not a copy per layer.
         timed = engine.execute_batch(self.queries, policy)

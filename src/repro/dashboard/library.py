@@ -1,634 +1,45 @@
 """The six real-world dashboards of the paper's evaluation (Figure 6).
 
-Each specification is reconstructed from the paper's descriptions:
-component counts and wiring follow §6.1/§6.3 (e.g. Customer Service has
-five visualizations that filter each other plus four interaction
-widgets; Circulation Activity and MyRide have two visualizations each;
-IT Monitor has three). Column-role counts match Figure 6's (Q, C)
-annotations via the matching generators in
-:mod:`repro.workload.datasets`.
+Each dashboard is defined once, by its JSON spec file under
+``repro/dashboard/specs/`` (the paper's input format); this module only
+loads them. The specs are reconstructed from the paper's descriptions:
+component counts and wiring follow §6.1/§6.3, and column-role counts
+match Figure 6's (Q, C) annotations via the matching generators in
+:mod:`repro.workload.datasets`. Dashboard types follow Sarikaya et al.'s
+categories, as in the paper.
 
-Dashboard types follow Sarikaya et al.'s categories, as in the paper.
+- Customer Service — Figure 1/2; operational decision making; 10Q, 6C
+- Circulation Activity by Library — strategic; 2Q, 2C; two visualizations
+- Supply Chain — strategic; 5Q, 18C
+- UBC Energy Map — strategic; 22Q, 4C
+- MyRide — quantified self; 10Q, 3C; two visualizations
+- IT Monitor — operational; 3Q, 5C; three visualizations
+
+To add a library dashboard, add ``specs/<name>.json`` and a matching
+generator in :mod:`repro.workload.datasets`.
 """
 
 from __future__ import annotations
 
-from repro.dashboard.spec import (
-    ColumnSpec,
-    DashboardSpec,
-    DatabaseSpec,
-    DimensionSpec,
-    InterfaceSpec,
-    LinkSpec,
-    MeasureSpec,
-    VisualizationSpec,
-    WidgetSpec,
-)
-from repro.engine.table import Schema
+import pathlib
+
+from repro.dashboard.spec import DashboardSpec
 from repro.errors import ConfigError
-from repro.workload.datasets import dataset_schema
 
-
-def _database_spec(table: str, schema: Schema) -> DatabaseSpec:
-    return DatabaseSpec(
-        table=table,
-        columns=tuple(
-            ColumnSpec(c.name, c.dtype.value) for c in schema.columns
-        ),
-    )
-
-
-def _all_to_all_links(viz_ids: list[str]) -> tuple[LinkSpec, ...]:
-    """Cross-filter links between every ordered pair of visualizations."""
-    return tuple(
-        LinkSpec(source, target)
-        for source in viz_ids
-        for target in viz_ids
-        if source != target
-    )
-
-
-# ---------------------------------------------------------------------------
-# Customer Service (Figure 1/2; operational decision making; 10Q, 6C)
-# ---------------------------------------------------------------------------
-
-
-def customer_service_dashboard() -> DashboardSpec:
-    """The paper's running example: call-center monitoring.
-
-    Five linked visualizations (Figure 2D) and four interaction widgets;
-    the abandon-rate stat emits SUM(abandoned) and COUNT(calls), the two
-    aggregates of Figure 2B's ratio.
-    """
-    schema = dataset_schema("customer_service")
-    viz_ids = [
-        "calls_per_rep",
-        "total_calls_by_hour",
-        "abandon_rate",
-        "lost_calls",
-        "calls_by_queue",
-    ]
-    visualizations = (
-        VisualizationSpec(
-            id="calls_per_rep",
-            type="bar",
-            title="Calls per Rep",
-            dimensions=(
-                DimensionSpec("repID"),
-                DimensionSpec("hour"),
-                DimensionSpec("callDirection"),
-            ),
-            measures=(MeasureSpec("count", "calls"),),
-        ),
-        VisualizationSpec(
-            id="total_calls_by_hour",
-            type="line",
-            title="Total Calls by Hour",
-            dimensions=(
-                DimensionSpec("queue"),
-                DimensionSpec("hour"),
-                DimensionSpec("callDirection"),
-            ),
-            measures=(MeasureSpec("count", "calls"),),
-        ),
-        VisualizationSpec(
-            id="abandon_rate",
-            type="stat",
-            title="Abandon Rate",
-            measures=(
-                MeasureSpec("sum", "abandoned"),
-                MeasureSpec("count", "calls"),
-            ),
-            selectable=False,
-        ),
-        VisualizationSpec(
-            id="lost_calls",
-            type="stat",
-            title="Lost Calls",
-            measures=(MeasureSpec("count", "lostCalls"),),
-            selectable=False,
-        ),
-        VisualizationSpec(
-            id="calls_by_queue",
-            type="pie",
-            title="Calls per Queue",
-            dimensions=(DimensionSpec("repID"),),
-            measures=(MeasureSpec("count", "calls"),),
-        ),
-    )
-    widgets = (
-        WidgetSpec(
-            id="queue_checkbox",
-            type="checkbox",
-            column="queue",
-            targets=tuple(viz_ids),
-            title="Queue",
-        ),
-        WidgetSpec(
-            id="direction_radio",
-            type="radio",
-            column="callDirection",
-            targets=tuple(viz_ids),
-            title="Call Direction",
-        ),
-        WidgetSpec(
-            id="hour_slider",
-            type="range_slider",
-            column="hour",
-            targets=tuple(viz_ids),
-            title="Hour of Day",
-            domain=(0, 23),
-        ),
-        WidgetSpec(
-            id="day_dropdown",
-            type="dropdown",
-            column="dayOfWeek",
-            targets=tuple(viz_ids),
-            title="Day of Week",
-        ),
-    )
-    return DashboardSpec(
-        name="customer_service",
-        dashboard_type="operational decision making",
-        description="Call-center performance monitoring (paper Figure 1).",
-        database=_database_spec("customer_service", schema),
-        interface=InterfaceSpec(
-            visualizations=visualizations,
-            widgets=widgets,
-            links=_all_to_all_links(
-                ["calls_per_rep", "total_calls_by_hour", "calls_by_queue"]
-            )
-            + (
-                LinkSpec("calls_per_rep", "abandon_rate"),
-                LinkSpec("calls_per_rep", "lost_calls"),
-                LinkSpec("total_calls_by_hour", "abandon_rate"),
-                LinkSpec("total_calls_by_hour", "lost_calls"),
-                LinkSpec("calls_by_queue", "abandon_rate"),
-                LinkSpec("calls_by_queue", "lost_calls"),
-            ),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Circulation Activity by Library (strategic; 2Q, 2C; two visualizations)
-# ---------------------------------------------------------------------------
-
-
-def circulation_dashboard() -> DashboardSpec:
-    """Library circulation: two near-identical branch-level views."""
-    schema = dataset_schema("circulation")
-    visualizations = (
-        VisualizationSpec(
-            id="checkouts_by_branch",
-            type="bar",
-            title="Checkouts by Branch",
-            dimensions=(DimensionSpec("branch"),),
-            measures=(MeasureSpec("sum", "checkouts"),),
-        ),
-        VisualizationSpec(
-            id="renewals_by_branch",
-            type="bar",
-            title="Renewals by Branch",
-            dimensions=(DimensionSpec("branch"),),
-            measures=(MeasureSpec("sum", "renewals"),),
-        ),
-    )
-    widgets = (
-        WidgetSpec(
-            id="date_range",
-            type="date_range",
-            column="checkout_date",
-            targets=("checkouts_by_branch", "renewals_by_branch"),
-            title="Date Range",
-        ),
-        WidgetSpec(
-            id="branch_dropdown",
-            type="dropdown",
-            column="branch",
-            targets=("checkouts_by_branch", "renewals_by_branch"),
-            title="Branch",
-        ),
-    )
-    return DashboardSpec(
-        name="circulation",
-        dashboard_type="strategic decision making",
-        description="Circulation events system-wide and per branch.",
-        database=_database_spec("circulation", schema),
-        interface=InterfaceSpec(
-            visualizations=visualizations,
-            widgets=widgets,
-            links=_all_to_all_links(
-                ["checkouts_by_branch", "renewals_by_branch"]
-            ),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Supply Chain (strategic; 5Q, 18C)
-# ---------------------------------------------------------------------------
-
-
-def supply_chain_dashboard() -> DashboardSpec:
-    """Order logistics: products, shipping duration/modes/costs."""
-    schema = dataset_schema("supply_chain")
-    viz_ids = [
-        "sales_by_category",
-        "profit_by_region",
-        "sales_over_time",
-        "quantity_by_ship_mode",
-        "shipping_by_carrier",
-        "total_profit",
-    ]
-    visualizations = (
-        VisualizationSpec(
-            id="sales_by_category",
-            type="bar",
-            title="Sales by Category",
-            dimensions=(
-                DimensionSpec("category"),
-                DimensionSpec("subcategory"),
-            ),
-            measures=(MeasureSpec("sum", "sales"),),
-        ),
-        VisualizationSpec(
-            id="profit_by_region",
-            type="bar",
-            title="Profit by Region",
-            dimensions=(DimensionSpec("region"),),
-            measures=(
-                MeasureSpec("sum", "profit"),
-                MeasureSpec("avg", "discount"),
-            ),
-        ),
-        VisualizationSpec(
-            id="sales_over_time",
-            type="line",
-            title="Monthly Sales",
-            dimensions=(DimensionSpec("order_date", bin="month"),),
-            measures=(MeasureSpec("sum", "sales"),),
-            selectable=False,
-        ),
-        VisualizationSpec(
-            id="quantity_by_ship_mode",
-            type="pie",
-            title="Quantity by Ship Mode",
-            dimensions=(DimensionSpec("ship_mode"),),
-            measures=(MeasureSpec("sum", "quantity"),),
-        ),
-        VisualizationSpec(
-            id="shipping_by_carrier",
-            type="bar",
-            title="Shipping Cost by Carrier",
-            dimensions=(DimensionSpec("carrier"),),
-            measures=(
-                MeasureSpec("avg", "shipping_cost"),
-                MeasureSpec("count", None),
-            ),
-        ),
-        VisualizationSpec(
-            id="total_profit",
-            type="stat",
-            title="Total Profit",
-            measures=(MeasureSpec("sum", "profit"),),
-            selectable=False,
-        ),
-    )
-    widgets = (
-        WidgetSpec(
-            id="region_dropdown", type="dropdown", column="region",
-            targets=tuple(viz_ids), title="Region",
-        ),
-        WidgetSpec(
-            id="segment_radio", type="radio", column="segment",
-            targets=tuple(viz_ids), title="Segment",
-        ),
-        WidgetSpec(
-            id="category_checkbox", type="checkbox", column="category",
-            targets=tuple(viz_ids), title="Category",
-        ),
-        WidgetSpec(
-            id="priority_dropdown", type="dropdown", column="order_priority",
-            targets=tuple(viz_ids), title="Priority",
-        ),
-        WidgetSpec(
-            id="discount_slider", type="range_slider", column="discount",
-            targets=tuple(viz_ids), title="Discount", domain=(0.0, 0.3),
-        ),
-        WidgetSpec(
-            id="tier_dropdown", type="dropdown", column="customer_tier",
-            targets=tuple(viz_ids), title="Customer Tier",
-        ),
-    )
-    return DashboardSpec(
-        name="supply_chain",
-        dashboard_type="strategic decision making",
-        description="Strategic evaluation of order logistics.",
-        database=_database_spec("supply_chain", schema),
-        interface=InterfaceSpec(
-            visualizations=visualizations,
-            widgets=widgets,
-            links=_all_to_all_links(
-                [
-                    "sales_by_category",
-                    "profit_by_region",
-                    "quantity_by_ship_mode",
-                    "shipping_by_carrier",
-                ]
-            )
-            + tuple(
-                LinkSpec(source, target)
-                for source in (
-                    "sales_by_category",
-                    "profit_by_region",
-                    "quantity_by_ship_mode",
-                    "shipping_by_carrier",
-                )
-                for target in ("total_profit", "sales_over_time")
-            ),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# UBC Energy Map (strategic; 22Q, 4C)
-# ---------------------------------------------------------------------------
-
-
-def ubc_energy_dashboard() -> DashboardSpec:
-    """Campus energy usage aggregated per building and energy type."""
-    schema = dataset_schema("ubc_energy")
-    viz_ids = [
-        "usage_map",
-        "usage_by_type",
-        "emissions_by_zone",
-        "usage_over_time",
-        "peak_demand",
-    ]
-    visualizations = (
-        VisualizationSpec(
-            id="usage_over_time",
-            type="line",
-            title="Monthly Usage",
-            dimensions=(DimensionSpec("reading_date", bin="month"),),
-            measures=(MeasureSpec("sum", "annual_usage"),),
-            selectable=False,
-        ),
-        VisualizationSpec(
-            id="usage_map",
-            type="map",
-            title="Energy Use per Building",
-            dimensions=(DimensionSpec("building"),),
-            measures=(
-                MeasureSpec("sum", "annual_usage"),
-                MeasureSpec("avg", "efficiency_score"),
-            ),
-        ),
-        VisualizationSpec(
-            id="usage_by_type",
-            type="bar",
-            title="Usage by Energy Type",
-            dimensions=(DimensionSpec("energy_type"),),
-            measures=(
-                MeasureSpec("sum", "annual_usage"),
-                MeasureSpec("sum", "energy_cost"),
-            ),
-        ),
-        VisualizationSpec(
-            id="emissions_by_zone",
-            type="bar",
-            title="Emissions by Zone",
-            dimensions=(DimensionSpec("zone"),),
-            measures=(MeasureSpec("sum", "emissions"),),
-        ),
-        VisualizationSpec(
-            id="peak_demand",
-            type="stat",
-            title="Peak Demand",
-            measures=(
-                MeasureSpec("max", "peak_demand"),
-                MeasureSpec("sum", "annual_usage"),
-            ),
-            selectable=False,
-        ),
-    )
-    widgets = (
-        WidgetSpec(
-            id="building_dropdown", type="dropdown", column="building",
-            targets=tuple(viz_ids), title="Building",
-        ),
-        WidgetSpec(
-            id="type_checkbox", type="checkbox", column="energy_type",
-            targets=tuple(viz_ids), title="Energy Type",
-        ),
-        WidgetSpec(
-            id="zone_radio", type="radio", column="zone",
-            targets=tuple(viz_ids), title="Zone",
-        ),
-        WidgetSpec(
-            id="efficiency_slider", type="range_slider",
-            column="efficiency_score",
-            targets=tuple(viz_ids), title="Efficiency", domain=(0.0, 100.0),
-        ),
-    )
-    return DashboardSpec(
-        name="ubc_energy",
-        dashboard_type="strategic decision making",
-        description="Aggregated campus energy usage (UBC Energy Map).",
-        database=_database_spec("ubc_energy", schema),
-        interface=InterfaceSpec(
-            visualizations=visualizations,
-            widgets=widgets,
-            links=_all_to_all_links(
-                ["usage_map", "usage_by_type", "emissions_by_zone"]
-            )
-            + (
-                LinkSpec("usage_map", "peak_demand"),
-                LinkSpec("usage_by_type", "peak_demand"),
-            ),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# MyRide (quantified self; 10Q, 3C; two visualizations)
-# ---------------------------------------------------------------------------
-
-
-def myride_dashboard() -> DashboardSpec:
-    """Heart-rate along a cycling route; exposes a single quantitative
-    column (heart_rate), which is why the paper found it incompatible
-    with the correlation-heavy Battle & Heer and Crossfilter workflows.
-    """
-    schema = dataset_schema("myride")
-    visualizations = (
-        VisualizationSpec(
-            id="heart_rate_over_time",
-            type="line",
-            title="Heart Rate over Time",
-            dimensions=(DimensionSpec("ts", bin="hour"),),
-            measures=(MeasureSpec("avg", "heart_rate"),),
-            selectable=False,
-        ),
-        VisualizationSpec(
-            id="route_map",
-            type="map",
-            title="Route",
-            dimensions=(DimensionSpec("segment"),),
-            measures=(MeasureSpec("avg", "heart_rate"),),
-        ),
-    )
-    widgets = (
-        WidgetSpec(
-            id="zone_checkbox", type="checkbox", column="zone",
-            targets=("heart_rate_over_time", "route_map"), title="HR Zone",
-        ),
-        WidgetSpec(
-            id="surface_radio", type="radio", column="surface",
-            targets=("heart_rate_over_time", "route_map"), title="Surface",
-        ),
-        WidgetSpec(
-            id="time_brush", type="date_range", column="ts",
-            targets=("heart_rate_over_time", "route_map"), title="Time",
-        ),
-    )
-    return DashboardSpec(
-        name="myride",
-        dashboard_type="quantified self",
-        description="Heart rate along a cycling route in Orlando, FL.",
-        database=_database_spec("myride", schema),
-        interface=InterfaceSpec(
-            visualizations=visualizations,
-            widgets=widgets,
-            links=(LinkSpec("route_map", "heart_rate_over_time"),),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# IT Monitor (operational; 3Q, 5C; three visualizations)
-# ---------------------------------------------------------------------------
-
-
-def it_monitor_dashboard() -> DashboardSpec:
-    """System telemetry supporting anomaly drill-down."""
-    schema = dataset_schema("it_monitor")
-    viz_ids = ["cpu_over_time", "alerts_by_severity", "host_table"]
-    visualizations = (
-        VisualizationSpec(
-            id="cpu_over_time",
-            type="line",
-            title="CPU over Time",
-            dimensions=(DimensionSpec("ts", bin="hour"),),
-            measures=(
-                MeasureSpec("avg", "cpu"),
-                MeasureSpec("avg", "memory"),
-            ),
-            selectable=False,
-        ),
-        VisualizationSpec(
-            id="alerts_by_severity",
-            type="bar",
-            title="Events by Severity",
-            dimensions=(DimensionSpec("severity"),),
-            measures=(MeasureSpec("count", None),),
-        ),
-        VisualizationSpec(
-            id="host_table",
-            type="table",
-            title="Hosts",
-            dimensions=(DimensionSpec("host"),),
-            measures=(
-                MeasureSpec("avg", "latency"),
-                MeasureSpec("max", "cpu"),
-                MeasureSpec("count", None),
-            ),
-        ),
-    )
-    widgets = (
-        WidgetSpec(
-            id="datacenter_dropdown", type="dropdown", column="datacenter",
-            targets=tuple(viz_ids), title="Datacenter",
-        ),
-        WidgetSpec(
-            id="service_checkbox", type="checkbox", column="service",
-            targets=tuple(viz_ids), title="Service",
-        ),
-        WidgetSpec(
-            id="severity_radio", type="radio", column="severity",
-            targets=tuple(viz_ids), title="Severity",
-        ),
-        WidgetSpec(
-            id="status_dropdown", type="dropdown", column="status",
-            targets=tuple(viz_ids), title="Status",
-        ),
-        WidgetSpec(
-            id="latency_slider", type="range_slider", column="latency",
-            targets=tuple(viz_ids), title="Latency",
-        ),
-    )
-    return DashboardSpec(
-        name="it_monitor",
-        dashboard_type="operational decision making",
-        description="IT telemetry with anomaly drill-down.",
-        database=_database_spec("it_monitor", schema),
-        interface=InterfaceSpec(
-            visualizations=visualizations,
-            widgets=widgets,
-            links=_all_to_all_links(["alerts_by_severity", "host_table"])
-            + (
-                LinkSpec("alerts_by_severity", "cpu_over_time"),
-                LinkSpec("host_table", "cpu_over_time"),
-            ),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-_BUILDERS = {
-    "circulation": circulation_dashboard,
-    "supply_chain": supply_chain_dashboard,
-    "ubc_energy": ubc_energy_dashboard,
-    "myride": myride_dashboard,
-    "it_monitor": it_monitor_dashboard,
-    "customer_service": customer_service_dashboard,
-}
+_SPECS_DIR = pathlib.Path(__file__).parent / "specs"
 
 #: The six dashboards of Figure 6, by name.
-DASHBOARD_NAMES = sorted(_BUILDERS)
+DASHBOARD_NAMES = sorted(path.stem for path in _SPECS_DIR.glob("*.json"))
 
 
 def load_dashboard(name: str) -> DashboardSpec:
-    """Build one of the six paper dashboards by name."""
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
+    """Load one of the six paper dashboards by name from its JSON spec."""
+    if name not in DASHBOARD_NAMES:
         raise ConfigError(
             f"unknown dashboard {name!r}; available: {DASHBOARD_NAMES}"
-        ) from None
-
-
-def load_dashboard_json(name: str) -> DashboardSpec:
-    """Load one of the six dashboards from its shipped JSON spec file.
-
-    The JSON files under ``repro/dashboard/specs/`` are the canonical
-    developer-facing artifacts (the paper's input format); this loader
-    demonstrates the file-based workflow. ``load_dashboard`` builds the
-    same specs programmatically.
-    """
-    import pathlib
-
-    path = pathlib.Path(__file__).parent / "specs" / f"{name}.json"
-    if not path.exists():
-        raise ConfigError(
-            f"no JSON spec for dashboard {name!r}; available: "
-            f"{DASHBOARD_NAMES}"
         )
-    return DashboardSpec.from_json(path.read_text())
+    path = _SPECS_DIR / f"{name}.json"
+    return DashboardSpec.from_json(path.read_text(encoding="utf-8"))
 
 
 def all_dashboards() -> dict[str, DashboardSpec]:

@@ -431,14 +431,27 @@ class DashboardSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DashboardSpec":
-        return cls(
-            name=data["name"],
-            dashboard_type=data.get("dashboard_type", "unspecified"),
-            description=data.get("description", ""),
-            database=DatabaseSpec.from_dict(data["database"]),
-            interface=InterfaceSpec.from_dict(data["interface"]),
-        )
+        """Build a spec from plain dicts; a malformed document (a missing
+        key, a wrong container type) raises :class:`SpecificationError`."""
+        try:
+            return cls(
+                name=data["name"],
+                dashboard_type=data.get("dashboard_type", "unspecified"),
+                description=data.get("description", ""),
+                database=DatabaseSpec.from_dict(data["database"]),
+                interface=InterfaceSpec.from_dict(data["interface"]),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SpecificationError(
+                f"malformed dashboard spec: {exc!r}"
+            ) from exc
 
     @classmethod
     def from_json(cls, text: str) -> "DashboardSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise SpecificationError(
+                f"dashboard spec is not valid JSON: {exc}"
+            ) from exc
+        return cls.from_dict(data)

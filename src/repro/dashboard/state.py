@@ -220,10 +220,10 @@ class DashboardState:
         :mod:`repro.engine.multiplan`). Returns timed results keyed by
         visualization id.
         """
-        from repro.execution import ExecutionPolicy, coerce_policy
+        from repro.execution import coerce_policy
         from repro.telemetry import trace as _trace
 
-        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
+        policy = coerce_policy(policy)
         refresh = build_refresh(self, viz_ids)
         tracer = _trace.ACTIVE
         if tracer is None:
@@ -247,9 +247,9 @@ class DashboardState:
         live dashboard backend takes on each user gesture. Returns
         timed results keyed by visualization id.
         """
-        from repro.execution import ExecutionPolicy, coerce_policy
+        from repro.execution import coerce_policy
 
-        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
+        policy = coerce_policy(policy)
         affected = self.apply_affected(interaction)
         return self.refresh(engine, viz_ids=affected, policy=policy)
 

@@ -337,9 +337,9 @@ class BatchExecutor:
         fallback_engine: Engine | None = None,
     ) -> None:
         from repro.errors import ConfigError
-        from repro.execution import ExecutionPolicy, coerce_policy
+        from repro.execution import coerce_policy
 
-        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
+        policy = coerce_policy(policy)
         if not policy.batch:
             raise ConfigError(
                 "BatchExecutor is the shared-scan path; a batch=False "

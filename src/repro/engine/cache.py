@@ -397,9 +397,9 @@ class CachedEngine(Engine):
         ``batch=False`` policy executes per query through the wrapper
         itself, so the per-query LRU keeps answering repeats.
         """
-        from repro.execution import ExecutionPolicy, coerce_policy
+        from repro.execution import coerce_policy
 
-        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
+        policy = coerce_policy(policy)
         if not policy.batch:
             # One sequential-policy dispatch for the whole stack;
             # executing through the wrapper keeps the per-query LRU.

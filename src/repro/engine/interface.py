@@ -310,9 +310,9 @@ class Engine(abc.ABC):
           (:mod:`repro.engine.multiplan`), composing with both knobs
           above.
         """
-        from repro.execution import ExecutionPolicy, coerce_policy
+        from repro.execution import coerce_policy
 
-        policy = ExecutionPolicy() if policy is None else coerce_policy(policy)
+        policy = coerce_policy(policy)
         if not policy.batch:
             # execute_all is the one sequential-policy dispatch: a
             # plain per-query loop at workers=1, an overlapped ordered

@@ -266,8 +266,13 @@ def _auto_workers() -> int:
     )
 
 
-def coerce_policy(policy: "ExecutionPolicy | str") -> ExecutionPolicy:
-    """Accept a policy or a preset name (the CLI/config surface)."""
+def coerce_policy(
+    policy: "ExecutionPolicy | str | None",
+) -> ExecutionPolicy:
+    """Accept a policy or a preset name (the CLI/config surface);
+    ``None`` means the default :class:`ExecutionPolicy`."""
+    if policy is None:
+        return ExecutionPolicy()
     if isinstance(policy, str):
         return ExecutionPolicy.preset(policy)
     if not isinstance(policy, ExecutionPolicy):

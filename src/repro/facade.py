@@ -77,9 +77,7 @@ class Session:
 
             engine = CachedEngine(engine)
         self.engine = engine
-        self.policy = (
-            ExecutionPolicy() if policy is None else coerce_policy(policy)
-        )
+        self.policy = coerce_policy(policy)
         #: Optional :class:`~repro.telemetry.Telemetry` bundle, scoped
         #: around every executing session operation; ``None`` (the
         #: default) keeps the stack on its untraced path.

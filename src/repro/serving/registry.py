@@ -206,9 +206,7 @@ class SessionRegistry:
     ) -> ServedSession:
         self.sweep()  # expire opportunistically even without the thread
         now = self.clock()
-        resolved = (
-            ExecutionPolicy() if policy is None else coerce_policy(policy)
-        )
+        resolved = coerce_policy(policy)
         with self._lock:
             if self.max_sessions_per_tenant:
                 held = sum(

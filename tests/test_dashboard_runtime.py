@@ -490,19 +490,53 @@ def format_query_expr(expr):
 class TestJsonSpecFiles:
     """The shipped JSON files are the canonical dashboard artifacts."""
 
-    def test_json_files_match_builders(self):
-        from repro.dashboard.library import (
-            DASHBOARD_NAMES,
-            load_dashboard,
-            load_dashboard_json,
-        )
+    def test_json_files_are_canonical(self):
+        import pathlib
+
+        import repro.dashboard.library as library
+
+        specs_dir = pathlib.Path(library.__file__).parent / "specs"
+        for name in library.DASHBOARD_NAMES:
+            text = (specs_dir / f"{name}.json").read_text(encoding="utf-8")
+            assert library.load_dashboard(name).to_json() + "\n" == text, name
+
+    def test_database_columns_match_generators(self):
+        from repro.dashboard.library import DASHBOARD_NAMES, load_dashboard
+        from repro.workload.datasets import dataset_schema
 
         for name in DASHBOARD_NAMES:
-            assert load_dashboard_json(name) == load_dashboard(name), name
+            spec_columns = [
+                (c.name, c.type) for c in load_dashboard(name).database.columns
+            ]
+            generated = [
+                (c.name, c.dtype.value) for c in dataset_schema(name).columns
+            ]
+            assert spec_columns == generated, name
 
-    def test_unknown_json_spec_raises(self):
-        from repro.dashboard.library import load_dashboard_json
+    def test_dashboard_names_are_the_six_paper_dashboards(self):
+        from repro.dashboard.library import DASHBOARD_NAMES
+
+        assert DASHBOARD_NAMES == [
+            "circulation",
+            "customer_service",
+            "it_monitor",
+            "myride",
+            "supply_chain",
+            "ubc_energy",
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["nope", "../specs/customer_service", "customer_service.json"]
+    )
+    def test_unknown_name_raises_before_reading_files(self, name, monkeypatch):
+        import pathlib
+
+        from repro.dashboard.library import load_dashboard
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError):
-            load_dashboard_json("nope")
+        def no_reads(*args, **kwargs):
+            raise AssertionError("an unknown name reached the filesystem")
+
+        monkeypatch.setattr(pathlib.Path, "read_text", no_reads)
+        with pytest.raises(ConfigError, match="unknown dashboard"):
+            load_dashboard(name)

@@ -196,3 +196,17 @@ class TestSerialization:
         data = json.loads(cs_spec.to_json())
         assert data["name"] == "customer_service"
         assert isinstance(data["interface"]["visualizations"], list)
+
+    @pytest.mark.parametrize(
+        "text", ["{}", "[]", '{"name": "x"}', "not json"]
+    )
+    def test_malformed_json_raises_specification_error(self, text):
+        with pytest.raises(SpecificationError) as info:
+            DashboardSpec.from_json(text)
+        assert info.value.__cause__ is not None
+
+    def test_validation_errors_keep_their_message(self, cs_spec):
+        data = cs_spec.to_dict()
+        data["interface"]["widgets"][0]["column"] = "no_such_column"
+        with pytest.raises(SpecificationError, match="references unknown"):
+            DashboardSpec.from_dict(data)

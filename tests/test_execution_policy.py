@@ -213,8 +213,11 @@ def test_coerce_policy_rejects_non_policies():
     policy = ExecutionPolicy(workers=2)
     assert coerce_policy(policy) is policy
     assert coerce_policy("serial") == ExecutionPolicy.serial()
+    assert coerce_policy(None) == ExecutionPolicy()
     with pytest.raises(ConfigError, match="preset"):
         coerce_policy(object())
+    with pytest.raises(ConfigError, match="preset"):
+        coerce_policy(42)
 
 
 def test_compose_cli_policy():

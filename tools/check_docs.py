@@ -39,6 +39,16 @@ EXAMPLE_FILES = [
     REPO / "examples" / "traced_refresh.py",
     REPO / "examples" / "process_shards.py",
     REPO / "examples" / "serving_quickstart.py",
+    REPO / "examples" / "quickstart.py",
+    REPO / "examples" / "custom_dashboard.py",
+    REPO / "examples" / "call_center_goals.py",
+    REPO / "examples" / "concurrent_refresh.py",
+    REPO / "examples" / "idebench_vs_simba.py",
+    REPO / "examples" / "session_logs_replay.py",
+    REPO / "examples" / "sharded_refresh.py",
+    REPO / "examples" / "star_schema_ablation.py",
+    REPO / "examples" / "approximate_dashboard.py",
+    # compare_engines.py is left out: ~2 minutes at its 10k rows x 4 engines.
 ]
 
 #: Markdown inline links: [text](target). Reference-style links are
