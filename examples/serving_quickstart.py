@@ -75,12 +75,11 @@ def in_process_tour(table, spec) -> None:
 
 def http_tour(table, spec) -> None:
     """The same protocol over a real socket, plus an interaction."""
-    print("HTTP: stdlib server, urllib client")
+    print("HTTP: stdlib server, persistent HTTP/1.1 client")
     app = ServingApp(default_engine="sqlite")
     app.load_table(table)
     app.register_dashboard(spec)
-    with DashboardServer(app) as server:
-        client = ServingClient(server.url)
+    with DashboardServer(app) as server, ServingClient(server.url) as client:
         session = client.create_session("tenant-http", DASHBOARD)
         results = client.refresh(session["session_id"])
         print(
@@ -106,7 +105,9 @@ def http_tour(table, spec) -> None:
         print(
             f"  /stats: {roll_up['sessions']['live']} live session(s), "
             f"{roll_up['admission']['admitted']} admitted, "
-            f"{roll_up['errors']} server faults"
+            f"{roll_up['errors']} server faults, "
+            f"{roll_up['transport']['requests']} requests over "
+            f"{roll_up['transport']['connections']} connection(s)"
         )
         assert roll_up["errors"] == 0
         client.close_session(session["session_id"])

@@ -122,9 +122,8 @@ class ServingApp:
         while not self._stop.wait(self.config.sweep_interval):
             try:
                 self.sweep()
-            except Exception:  # pragma: no cover - sweeper must not die
-                self._errors += 1
-                self.metrics.inc("serving.errors")
+            except Exception as exc:  # pragma: no cover - must not die
+                self.count_fault(exc)
 
     def sweep(self) -> list[str]:
         """One TTL sweep (also runs opportunistically on create)."""
@@ -305,8 +304,7 @@ class ServingApp:
             elif not isinstance(
                 exc, (InteractionError, UnknownSessionError)
             ):
-                self._errors += 1  # a client error is not a server fault
-                self.metrics.inc("serving.errors")
+                self.count_fault(exc)  # a client error is not a server fault
             raise
         finally:
             self._publish_pressure()
@@ -330,6 +328,20 @@ class ServingApp:
         self.metrics.set_gauge(
             "serving.in_flight", self.admission.in_flight
         )
+
+    def count_fault(self, exc: BaseException) -> None:
+        """Count one unexpected failure (a 5xx) in ``errors``.
+
+        Each exception counts once: the HTTP layer calls this for every
+        500 it sends, and a fault raised inside :meth:`_request` has
+        already been counted there.
+        """
+        if getattr(exc, "_serving_fault_counted", False):
+            return
+        exc._serving_fault_counted = True  # type: ignore[attr-defined]
+        with self._lock:
+            self._errors += 1
+        self.metrics.inc("serving.errors")
 
     # -- introspection -------------------------------------------------------
 

@@ -293,6 +293,14 @@ class SimulatedUser:
             self._error(f"recreate failed: {exc}")
 
 
+def _run_then_close(user: SimulatedUser) -> None:
+    """A user's thread: its operations, then its client's connections."""
+    try:
+        user.run()
+    finally:
+        user.client.close()
+
+
 def run_load(
     client_factory,
     spec: DashboardSpec,
@@ -309,8 +317,9 @@ def run_load(
     """Run ``users`` simulated users to completion; returns the report.
 
     ``client_factory`` is called once per user (for example ``lambda:
-    ServingClient(url)``); users are spread round-robin over
-    ``tenants`` tenant labels.
+    ServingClient(url)``) and each client is closed when its user
+    finishes; users are spread round-robin over ``tenants`` tenant
+    labels.
     """
     report = LoadReport(users=users, wall_s=0.0)
     report_lock = threading.Lock()
@@ -334,7 +343,8 @@ def run_load(
     ]
     threads = [
         threading.Thread(
-            target=user.run, name=f"serving-user-{user.index}", daemon=True
+            target=_run_then_close, args=(user,),
+            name=f"serving-user-{user.index}", daemon=True,
         )
         for user in simulated
     ]

@@ -21,19 +21,29 @@ Routes::
     DELETE /sessions/<id>                  close
     POST   /sessions/<id>/refresh          refresh (optional viz_ids)
     POST   /sessions/<id>/interact         apply + refresh fan-out
-    GET    /stats                          accounting roll-up
+    GET    /stats                          accounting roll-up + transport
     GET    /healthz                        liveness
 
-:class:`ServingClient` is the matching urllib client; the load
-generator and the CI soak drive the server through it.
+:class:`ServingClient` is the matching persistent HTTP/1.1 client;
+the load generator and the CI soak drive the server through it.
+
+Connections are kept alive: a client holds one connection per calling
+thread, and the server gives each connection one handler thread for
+its lifetime, so a request pays neither a TCP handshake nor a thread
+start (nor, on ``sqlite``, a fresh replica snapshot).
+:meth:`DashboardServer.close` shuts every open connection, so no
+handler thread outlives the server.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
-import urllib.error
-import urllib.request
+import time
+import urllib.parse
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import (
@@ -48,10 +58,14 @@ from repro.serving.protocol import decode_results, encode_results
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One request; the app lives on the server object."""
+    """One connection's requests; the app lives on the server object."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serving"
+    # The reply goes out as two writes (headers, then body); with Nagle
+    # on, the second waits for the client's delayed ACK of the first,
+    # about 40 ms on every request of a kept-alive connection.
+    disable_nagle_algorithm = True
 
     # The default handler writes every request to stderr; a 500-user
     # soak would drown the terminal.
@@ -65,11 +79,10 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if not length:
+        if not self._payload:
             return {}
         try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(self._payload)
         except ValueError as exc:
             raise ServingError(f"request body is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
@@ -87,25 +100,42 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _dispatch(self, method: str) -> None:
+        self.server.count_request()  # type: ignore[attr-defined]
+        # The whole body is read before routing: on a kept-alive
+        # connection, a body left unread would be parsed as the next
+        # request line.
+        length = self.headers.get("Content-Length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            # The stream can no longer be framed: answer, then hang up.
+            self._reply(
+                400,
+                {"error": f"bad Content-Length {length!r}"},
+                [("Connection", "close")],
+            )
+            return
+        self._payload = self.rfile.read(int(length))
+        self._reply(*self._respond(method))
+
+    def _respond(self, method: str) -> tuple:
+        """``(status, payload, headers)`` for the request just read."""
         try:
             route = self._route(method)
-            if route is None:
-                self._reply(404, {"error": f"no route {method} {self.path}"})
-                return
-            status, payload, headers = route
-            self._reply(status, payload, headers)
         except UnknownSessionError as exc:
-            self._reply(404, {"error": str(exc)})
+            return 404, {"error": str(exc)}, ()
         except AdmissionError as exc:
-            self._reply(
+            return (
                 429,
                 {"error": str(exc), "retry_after": exc.retry_after},
                 [("Retry-After", f"{exc.retry_after:g}")],
             )
         except (InteractionError, ServingError, ConfigError) as exc:
-            self._reply(400, {"error": str(exc)})
+            return 400, {"error": str(exc)}, ()
         except Exception as exc:  # the soak asserts this stays at zero
-            self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+            self.app.count_fault(exc)
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, ()
+        if route is None:
+            return 404, {"error": f"no route {method} {self.path}"}, ()
+        return route
 
     def _route(self, method: str):
         parts = [p for p in self.path.split("?")[0].split("/") if p]
@@ -113,7 +143,8 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "GET" and parts == ["healthz"]:
             return 200, app.healthz(), ()
         if method == "GET" and parts == ["stats"]:
-            return 200, app.stats(), ()
+            transport = self.server.transport()  # type: ignore[attr-defined]
+            return 200, {**app.stats(), "transport": transport}, ()
         if parts[:1] != ["sessions"]:
             return None
         if method == "POST" and len(parts) == 1:
@@ -163,17 +194,75 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
+    """Thread per connection, with every open connection tracked so
+    :meth:`close_connections` can end them."""
+
     # The stdlib default listen backlog (5) resets connections when a
     # load generator opens dozens of sockets at once; admission control
     # is the serving tier's job, not the kernel accept queue's.
     request_queue_size = 128
+
+    def __init__(self, address: tuple[str, int], app: ServingApp) -> None:
+        super().__init__(address, _Handler)
+        self.app = app
+        self._lock = threading.Lock()
+        self._connections = 0
+        self._requests = 0
+        #: Open connection -> the handler thread serving it.
+        self._open: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections += 1
+            thread = threading.Thread(
+                target=self.process_request_thread,
+                args=(request, client_address),
+                name=f"serving-conn-{self._connections}",
+                daemon=True,
+            )
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def count_request(self) -> None:
+        with self._lock:
+            self._requests += 1
+
+    def transport(self) -> dict:
+        with self._lock:
+            return {
+                "connections": self._connections,
+                "requests": self._requests,
+            }
+
+    def close_connections(self, timeout: float) -> None:
+        """Stop reading every open connection; wait for their threads.
+
+        A request in flight still gets its reply; an idle connection's
+        thread wakes from its blocking read with EOF and ends.
+        """
+        with self._lock:
+            open_now = list(self._open.items())
+        for request, _ in open_now:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its own thread
+                pass
+        deadline = time.monotonic() + timeout
+        for _, thread in open_now:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class DashboardServer:
     """A listening serving tier: one app behind ``ThreadingHTTPServer``.
 
     Binds ``host:port`` (port 0 picks a free one) but only serves once
-    :meth:`start` runs. Use as a context manager::
+    :meth:`start` runs. Each client connection gets one handler thread
+    for as long as it stays open. Use as a context manager::
 
         app = ServingApp().load_table(table)
         app.register_dashboard(spec)
@@ -186,9 +275,7 @@ class DashboardServer:
         self, app: ServingApp, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.app = app
-        self._httpd = _Server((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.app = app  # type: ignore[attr-defined]
+        self._httpd = _Server((host, port), app)
         self._thread: threading.Thread | None = None
 
     @property
@@ -200,6 +287,12 @@ class DashboardServer:
     def url(self) -> str:
         host, port = self.address
         return f"http://{host}:{port}"
+
+    @property
+    def transport(self) -> dict:
+        """Connections accepted and requests handled so far (also
+        reported by ``GET /stats`` under ``"transport"``)."""
+        return self._httpd.transport()
 
     def start(self) -> "DashboardServer":
         self.app.start()
@@ -213,11 +306,13 @@ class DashboardServer:
         return self
 
     def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop accepting, end every open connection, close the app."""
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.close_connections(timeout=5.0)
+        self._httpd.server_close()
         self.app.close()
 
     def __enter__(self) -> "DashboardServer":
@@ -227,8 +322,29 @@ class DashboardServer:
         self.close()
 
 
+#: How a kept-alive connection the server has closed fails before any
+#: reply byte arrives; only then is resending the request safe.
+_STALE = (
+    http.client.RemoteDisconnected,
+    BrokenPipeError,
+    ConnectionResetError,
+)
+
+
+def _close_all(connections: list) -> None:
+    for conn in connections:
+        conn.close()
+
+
 class ServingClient:
-    """Minimal urllib client speaking the server's JSON protocol.
+    """Persistent HTTP/1.1 client speaking the server's JSON protocol.
+
+    Keeps one connection per calling thread, so one client shared by
+    several threads stays safe and concurrent. A request that fails on
+    a reused connection before any reply byte arrives (the server
+    closed it while idle) is resent once on a fresh one; nothing else
+    is retried. :meth:`close` (or leaving a ``with`` block) closes
+    every connection; the client reconnects if used again.
 
     Raises :class:`ServerReply` for non-2xx responses so callers can
     branch on ``status`` (429 → honor ``retry_after``, 404 →
@@ -238,34 +354,90 @@ class ServingClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ConfigError(
+                f"ServingClient needs an http://host:port URL, "
+                f"got {base_url!r}"
+            )
+        self._host = parts.hostname
+        self._port = parts.port or 80
+        self._prefix = parts.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+        # A client dropped without close() still releases its sockets
+        # (and so the server's handler threads) once it is collected.
+        weakref.finalize(self, _close_all, self._connections)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+    def _send(self, conn, method: str, path: str, data: bytes):
+        conn.request(
+            method,
+            self._prefix + path,
+            body=data,
+            headers={
+                "Content-Type": "application/json",
+                "Content-Length": str(len(data)),
+            },
+        )
+        return conn.getresponse()
 
     def _call(self, method: str, path: str, body: dict | None = None) -> dict:
-        data = None if body is None else json.dumps(body).encode()
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
+        data = b"" if body is None else json.dumps(body).encode()
+        conn = self._connection()
+        reused = conn.sock is not None
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as exc:
             try:
-                payload = json.loads(exc.read() or b"{}")
-            except ValueError:
-                payload = {}
-            raise ServerReply(
-                exc.code,
-                payload.get("error", str(exc)),
-                retry_after=float(
-                    payload.get("retry_after")
-                    or exc.headers.get("Retry-After")
-                    or 0.0
-                ),
-            ) from None
+                response = self._send(conn, method, path, data)
+            except _STALE:
+                if not reused:
+                    raise
+                conn.close()
+                response = self._send(conn, method, path, data)
+            raw = response.read()
+        except BaseException:
+            conn.close()  # a half-used connection is never reused
+            raise
+        if 200 <= response.status < 300:
+            return json.loads(raw or b"{}")
+        try:
+            payload = json.loads(raw or b"{}")
+        except ValueError:
+            payload = {}
+        raise ServerReply(
+            response.status,
+            payload.get(
+                "error", f"HTTP Error {response.status}: {response.reason}"
+            ),
+            retry_after=float(
+                payload.get("retry_after")
+                or response.getheader("Retry-After")
+                or 0.0
+            ),
+        )
+
+    def close(self) -> None:
+        """Close every connection this client has opened."""
+        with self._lock:
+            connections = list(self._connections)
+        _close_all(connections)
+
+    def __enter__(self) -> "ServingClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def create_session(
         self, tenant: str, dashboard: str, engine=None, policy=None

@@ -25,6 +25,9 @@ survives a ``with repro.connect(...)`` block.
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
 import time
 from multiprocessing import shared_memory
@@ -485,3 +488,197 @@ class TestHTTP:
             stats = client.stats()
             assert stats["admission"]["rejected_queue_full"] == 1
             assert stats["errors"] == 0
+
+
+# ---------------------------------------------------------------------------
+# 6. Keep-alive transport: framing, fault counting, connection lifecycle
+# ---------------------------------------------------------------------------
+
+
+def handler_threads() -> list[threading.Thread]:
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("serving-conn-") and t.is_alive()
+    ]
+
+
+def wait_until(predicate, timeout: float = 2.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def json_reply(conn) -> tuple[int, dict, object]:
+    response = conn.getresponse()
+    return response.status, json.loads(response.read()), response
+
+
+class OneShotServer:
+    """A raw socket that answers every connection's first request with
+    ``reply`` and then closes it; counts the connections it accepted."""
+
+    def __init__(self, reply: bytes) -> None:
+        self.reply = reply
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self.listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            with conn:
+                conn.recv(65536)
+                conn.sendall(self.reply)
+
+    def close(self) -> None:
+        self.listener.close()
+        self._thread.join(timeout=2.0)
+
+
+class TestKeepAlive:
+    @pytest.fixture()
+    def server(self, table, spec):
+        app = make_app(table, spec)
+        with DashboardServer(app) as server:
+            yield server
+
+    def test_unread_body_does_not_desync_the_next_request(self, server):
+        conn = http.client.HTTPConnection(*server.address)
+        try:
+            conn.request("POST", "/nope", body=b'{"x":1}')
+            status, payload, _ = json_reply(conn)
+            assert status == 404 and "no route" in payload["error"]
+            conn.request("GET", "/healthz")
+            status, payload, _ = json_reply(conn)
+            assert status == 200 and payload["status"] == "ok"
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_a_400_that_closes(
+        self, server, length
+    ):
+        conn = http.client.HTTPConnection(*server.address)
+        try:
+            conn.putrequest("POST", "/sessions")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            status, payload, response = json_reply(conn)
+        finally:
+            conn.close()
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert server.app.error_count == 0
+
+    def test_http_layer_500_is_counted_once(self, server, monkeypatch):
+        def broken(results):
+            raise RuntimeError("encoder down")
+
+        with ServingClient(server.url) as client:
+            session_id = client.create_session("t", DASHBOARD)["session_id"]
+            monkeypatch.setattr(
+                "repro.serving.server.encode_results", broken
+            )
+            with pytest.raises(ServerReply) as excinfo:
+                client.refresh(session_id)
+            assert excinfo.value.status == 500
+            assert client.stats()["errors"] == 1
+            monkeypatch.undo()
+
+            # A fault inside the request is counted by the app already;
+            # the 500 the HTTP layer sends for it must not count twice.
+            host = server.app.host_for(server.app.default_engine)
+            monkeypatch.setattr(host.cache, "refresh", broken)
+            with pytest.raises(ServerReply) as excinfo:
+                client.refresh(session_id)
+            assert excinfo.value.status == 500
+            assert client.stats()["errors"] == 2
+
+    def test_one_client_uses_one_connection(self, server):
+        with ServingClient(server.url) as client:
+            for _ in range(9):
+                client.healthz()
+            transport = client.stats()["transport"]
+        assert transport == {"connections": 1, "requests": 10}
+
+    def test_close_ends_handler_threads_with_an_idle_connection(
+        self, table, spec
+    ):
+        app = make_app(table, spec)
+        server = DashboardServer(app).start()
+        client = ServingClient(server.url)
+        try:
+            client.healthz()
+            assert handler_threads()
+            start = time.monotonic()
+            server.close()  # the client still holds its connection
+            assert wait_until(lambda: not handler_threads())
+            assert time.monotonic() - start < 2.0
+        finally:
+            client.close()
+            server.close()
+
+    def test_reconnects_after_the_server_closes_an_idle_connection(
+        self, server, table, spec
+    ):
+        with ServingClient(server.url) as client:
+            session_id = client.create_session("t", DASHBOARD)["session_id"]
+            client.refresh(session_id)
+            # Close the server's side of the pooled connection.
+            server._httpd.close_connections(timeout=2.0)
+            assert wait_until(lambda: not handler_threads())
+            affected, results = client.interact(
+                session_id, encode_interaction(pick_interaction(spec, table))
+            )
+            assert affected and set(results) == set(affected)
+        assert server.transport["connections"] == 2
+        assert server.app.error_count == 0
+
+    def test_a_fresh_connection_failure_is_not_retried(self):
+        fake = OneShotServer(b"")  # closes without a reply byte
+        try:
+            with ServingClient(fake.url, timeout=5.0) as client:
+                with pytest.raises(http.client.RemoteDisconnected):
+                    client.healthz()
+            assert fake.accepted == 1
+        finally:
+            fake.close()
+
+    def test_a_partial_reply_is_not_retried(self):
+        body = b'{"status": "ok"}'
+        fake = OneShotServer(
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body
+        )
+        try:
+            with ServingClient(fake.url, timeout=5.0) as client:
+                assert client.healthz() == {"status": "ok"}
+                # Reused connection, closed by the fake: resent once.
+                assert client.healthz() == {"status": "ok"}
+                assert wait_until(lambda: fake.accepted == 2)
+                fake.reply = b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{"
+                with pytest.raises(http.client.IncompleteRead):
+                    client.healthz()
+            assert fake.accepted == 3
+        finally:
+            fake.close()
+
+    def test_no_nagle_stall_on_a_kept_alive_connection(self, server):
+        with ServingClient(server.url) as client:
+            client.healthz()
+            start = time.perf_counter()
+            for _ in range(30):
+                client.healthz()
+            elapsed = time.perf_counter() - start
+        # A Nagle/delayed-ACK stall costs about 40 ms on every request.
+        assert elapsed < 30 * 0.040 / 2, elapsed

@@ -1,10 +1,10 @@
 """CI soak for the serving tier: simulator traffic over real HTTP.
 
 Starts one :class:`~repro.serving.server.DashboardServer`, drives it
-with IDEBench-mix simulated users through the urllib client (the real
-socket path, not the in-process shortcut), on the **processes**
-execution backend so shared-memory exports are actually created, and
-then asserts the three things the serving tier promises:
+with IDEBench-mix simulated users through the persistent HTTP/1.1
+client (the real socket path, not the in-process shortcut), on the
+**processes** execution backend so shared-memory exports are actually
+created, and then asserts the four things the serving tier promises:
 
 1. zero 5xx — ``app.error_count`` stays 0 and no user recorded an
    unexplained failure (429s and expired-session re-creates are fine,
@@ -15,7 +15,10 @@ then asserts the three things the serving tier promises:
 3. the cross-session cache actually crossed sessions (hit rate > 0)
    while serving byte-identical results — identity itself is pinned by
    ``tests/test_serving.py``; the soak checks the rate is not zero
-   under churn.
+   under churn;
+4. connections are kept alive and end with the server — at most one
+   connection per user (``/stats`` ``transport.connections``), and no
+   handler thread is left once the server closes.
 
 Usage: ``PYTHONPATH=src python tools/check_serving.py``
 """
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -54,6 +59,19 @@ def _shm_names() -> set[str]:
         return set()
 
 
+def _handler_threads() -> list[str]:
+    """Names of live server connection threads, after up to 2 s."""
+    deadline = time.monotonic() + 2.0
+    while True:
+        names = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("serving-conn-")
+        ]
+        if not names or time.monotonic() > deadline:
+            return names
+        time.sleep(0.01)
+
+
 def main() -> int:
     table = generate_dataset(DASHBOARD, 4000, seed=7)
     spec = load_dashboard(DASHBOARD)
@@ -76,6 +94,7 @@ def main() -> int:
             policy="max_throughput",
         )
         stats = app.stats()
+        transport = server.transport
 
     summary = report.summary()
     cache = stats["caches"][ENGINE]
@@ -84,7 +103,9 @@ def main() -> int:
         f"({summary['rejected']} rejected, {summary['recreated']} recreated), "
         f"p50 {summary['latency_ms']['p50']:.1f} ms, "
         f"p95 {summary['latency_ms']['p95']:.1f} ms, "
-        f"hit rate {cache['hit_rate']:.2f}"
+        f"hit rate {cache['hit_rate']:.2f}, "
+        f"{transport['connections']} connections for "
+        f"{transport['requests']} HTTP requests"
     )
 
     failures = []
@@ -96,6 +117,14 @@ def main() -> int:
         failures.append("no operation completed")
     if cache["hit_rate"] <= 0:
         failures.append("cross-session cache never hit")
+    if transport["connections"] > USERS:
+        failures.append(
+            f"{transport['connections']} connections for {USERS} users: "
+            f"the client is not keeping its connection alive"
+        )
+    lingering = _handler_threads()
+    if lingering:
+        failures.append(f"handler threads outlived the server: {lingering}")
     leaked = _shm_names() - before
     if leaked:
         failures.append(f"leaked /dev/shm segments: {sorted(leaked)}")
@@ -104,7 +133,10 @@ def main() -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("serving soak OK: zero 5xx, zero leaked segments, cache shared")
+    print(
+        "serving soak OK: zero 5xx, zero leaked segments, cache shared, "
+        "connections kept alive and closed with the server"
+    )
     return 0
 
 
