@@ -18,14 +18,12 @@ Usage::
 
 import sys
 
-from repro import (
+from repro import create_engine, generate_dataset, parse_query
+from repro.approx import (
     approximate_execute,
-    create_engine,
-    generate_dataset,
-    parse_query,
     progressive_execute,
+    relative_error,
 )
-from repro.approx import relative_error
 
 QUERY = (
     "SELECT queue, COUNT(*) AS calls, SUM(abandoned) AS abandoned "

@@ -31,7 +31,6 @@ docs/BENCHMARKS.md for the benchmarks and what they measure.
 """
 
 from repro.algebra import GOAL_TEMPLATES, get_template, translate
-from repro.approx import approximate_execute, progressive_execute
 from repro.concurrency import RefreshJob, ScanGroupExecutor, refresh_many
 from repro.dashboard import DashboardSpec, DashboardState, Interaction
 from repro.dashboard.library import DASHBOARD_NAMES, all_dashboards, load_dashboard
@@ -105,7 +104,6 @@ __all__ = [
     "Table",
     "Telemetry",
     "all_dashboards",
-    "approximate_execute",
     "available_engines",
     "connect",
     "create_engine",
@@ -117,7 +115,6 @@ __all__ = [
     "load_dashboard",
     "normalize_star",
     "parse_query",
-    "progressive_execute",
     "refresh_many",
     "replay_log",
     "run_user_study",

@@ -11,8 +11,12 @@ Engines differ in what concurrency they tolerate and what it buys:
   are GIL-bound anyway; their work runs as a *serialized task queue* —
   one task at a time per engine instance — overlapping only with other
   engines' and sessions' work.
-- **Wrappers** (cache, instrumentation) advertise the policy of the
-  stack they guard.
+- **Wrappers** (cache, instrumentation, the slot gate) all derive from
+  :class:`~repro.engine.interface.EngineWrapper`, which forwards every
+  call and lets the capability flags follow the wrapped engine unless a
+  wrapper declares its own. A wrapper that declares itself thread-safe
+  (the cache, the latency model) wraps :func:`slot_gated` of its engine,
+  so calls into a non-thread-safe engine still take that engine's slot.
 
 Two engine attributes drive scheduling (declared on
 :class:`~repro.engine.interface.Engine` and defaulting to ``False``):
@@ -37,9 +41,7 @@ import threading
 import weakref
 from typing import ContextManager
 
-from repro.engine.interface import Engine, ResultSet
-from repro.engine.table import Schema, Table
-from repro.sql.ast import Query
+from repro.engine.interface import Engine, EngineWrapper
 
 _REGISTRY_LOCK = threading.Lock()
 _SLOTS: "weakref.WeakKeyDictionary[Engine, threading.RLock]" = (
@@ -104,74 +106,22 @@ def execution_slot(engine: Engine) -> ContextManager[None]:
     return serialization_lock(engine)
 
 
-class SlotGatedEngine(Engine):
+class SlotGatedEngine(EngineWrapper):
     """Serializes every call into a non-thread-safe engine.
 
-    Leaf-granular: each individual engine call runs inside the inner
-    engine's :func:`execution_slot`, and the slot is never held across
-    anything that can block on another thread (holding it for a longer
-    span deadlocks against single-flight waits). Interleaving calls
-    from different tasks is safe because shared-scan temp relations
-    carry unique per-execution names.
+    Leaf-granular: each call :class:`~repro.engine.interface.EngineWrapper`
+    forwards runs inside the inner engine's :func:`execution_slot`, and
+    the slot is never held across anything that can block on another
+    thread (holding it for a longer span deadlocks against single-flight
+    waits). Interleaving calls from different tasks is safe because
+    shared-scan temp relations carry unique per-execution names.
     """
 
     thread_safe = True  # safe to call from any thread — that's the point
     parallel_scans = False
 
-    def __init__(self, inner: Engine) -> None:
-        self._inner = inner
-        self.name = inner.name  # results stay stamped with the real name
-
-    @property
-    def inner(self) -> Engine:
-        return self._inner
-
-    @property
-    def supports_indexes(self) -> bool:  # type: ignore[override]
-        return self._inner.supports_indexes
-
-    def load_table(self, table: Table) -> None:
-        with execution_slot(self._inner):
-            self._inner.load_table(table)
-
-    def unload_table(self, name: str) -> None:
-        with execution_slot(self._inner):
-            self._inner.unload_table(name)
-
-    def table_schema(self, name: str) -> Schema | None:
-        with execution_slot(self._inner):
-            return self._inner.table_schema(name)
-
-    def table_row_count(self, name: str) -> int | None:
-        with execution_slot(self._inner):
-            return self._inner.table_row_count(name)
-
-    def table_version(self, name: str) -> int | None:
-        with execution_slot(self._inner):
-            return self._inner.table_version(name)
-
-    def materialize_filtered(
-        self, name, source: str, predicate, row_range=None
-    ) -> bool:
-        with execution_slot(self._inner):
-            if row_range is None:  # legacy three-argument inners work
-                return self._inner.materialize_filtered(
-                    name, source, predicate
-                )
-            return self._inner.materialize_filtered(
-                name, source, predicate, row_range
-            )
-
-    def create_index(self, table: str, column: str) -> None:
-        with execution_slot(self._inner):
-            self._inner.create_index(table, column)
-
-    def execute(self, query: Query) -> ResultSet:
-        with execution_slot(self._inner):
-            return self._inner.execute(query)
-
-    def close(self) -> None:
-        self._inner.close()
+    def _gate(self) -> ContextManager[None]:
+        return execution_slot(self._inner)
 
 
 def slot_gated(engine: Engine) -> Engine:

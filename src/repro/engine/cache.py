@@ -23,8 +23,9 @@ queries against them are never cached, so they can never go stale.
 
 Thread-safety: the wrapper is safe to hammer from a worker pool
 (``thread_safe = True``). Its own structures are mutex-guarded; calls
-into a non-thread-safe inner engine serialize through that engine's
-:func:`~repro.concurrency.policy.execution_slot`; concurrent misses on
+into a non-thread-safe inner engine go through
+:func:`~repro.concurrency.policy.slot_gated` and so serialize on that
+engine's execution slot; concurrent misses on
 the same SQL collapse to one inner execution (single-flight); and an
 epoch counter closes the compute/invalidate race — a result computed
 against pre-mutation data is never stored after the mutation
@@ -41,8 +42,13 @@ import threading
 from collections import OrderedDict
 
 from repro.engine.batch import TEMP_PREFIX
-from repro.engine.interface import Engine, QueryResult, ResultSet
-from repro.engine.table import Schema, Table
+from repro.engine.interface import (
+    Engine,
+    EngineWrapper,
+    QueryResult,
+    ResultSet,
+)
+from repro.engine.table import Table
 from repro.errors import ConfigError
 from repro.sql.ast import Query
 from repro.sql.formatter import format_query
@@ -162,20 +168,23 @@ class ScanGroupCache:
             self._groups.clear()
 
 
-class CachedEngine(Engine):
-    """Exact-match LRU result cache in front of another engine."""
+class CachedEngine(EngineWrapper):
+    """Exact-match LRU result cache in front of another engine.
+
+    ``inner`` is :func:`~repro.concurrency.policy.slot_gated` of the
+    wrapped engine, so every call into a non-thread-safe engine takes
+    that engine's execution slot.
+    """
 
     thread_safe = True
 
-    def __init__(
-        self,
-        inner: Engine,
-        capacity: int = 256,
-        scan_group_capacity: int | None = None,
-    ) -> None:
+    def __init__(self, inner: Engine, capacity: int = 256) -> None:
+        from repro.concurrency.policy import slot_gated
+        from repro.concurrency.singleflight import SingleFlight
+
         if capacity <= 0:
             raise ConfigError("cache capacity must be positive")
-        self._inner = inner
+        super().__init__(slot_gated(inner))
         self._capacity = capacity
         # repro: allow(RA106) — leaf lock over the per-query LRU and
         # epoch counter; queries execute outside it via single-flight
@@ -188,33 +197,15 @@ class CachedEngine(Engine):
         self._entries: OrderedDict[
             str, tuple[ResultSet, frozenset[str]]
         ] = OrderedDict()
-        # A scan group bundles several member results, so by default it
-        # gets a proportionally smaller entry budget than the LRU.
-        if scan_group_capacity is None:
-            scan_group_capacity = max(1, capacity // 2)
-        self._scan_groups = ScanGroupCache(scan_group_capacity)
+        # A scan group bundles several member results, so it gets a
+        # proportionally smaller entry budget than the LRU.
+        self._scan_groups = ScanGroupCache(max(1, capacity // 2))
         self._batch_executor = None
-        from repro.concurrency.singleflight import SingleFlight
-
         self._flight = SingleFlight()
         self._group_flight = SingleFlight()
         self.hits = 0
         self.misses = 0
         self.name = f"cached({inner.name})"
-
-    @property
-    def inner(self) -> Engine:
-        """The wrapped engine."""
-        return self._inner
-
-    @property
-    def supports_indexes(self) -> bool:  # type: ignore[override]
-        return self._inner.supports_indexes
-
-    @property
-    def parallel_scans(self) -> bool:  # type: ignore[override]
-        """Concurrency profile follows the engine actually scanning."""
-        return self._inner.parallel_scans
 
     @property
     def size(self) -> int:
@@ -235,12 +226,6 @@ class CachedEngine(Engine):
             if total == 0:
                 return 0.0
             return self.hits / total
-
-    def _inner_slot(self):
-        """The serialization gate for calls into the wrapped engine."""
-        from repro.concurrency.policy import execution_slot
-
-        return execution_slot(self._inner)
 
     def _invalidate_table(self, name: str) -> None:
         """Drop every cached answer that read ``name``.
@@ -269,27 +254,16 @@ class CachedEngine(Engine):
         # compute stored mid-mutation is purged too.
         self._invalidate_table(table.name)
         try:
-            with self._inner_slot():
-                self._inner.load_table(table)
+            super().load_table(table)
         finally:
             self._invalidate_table(table.name)
 
     def unload_table(self, name: str) -> None:
         self._invalidate_table(name)
         try:
-            with self._inner_slot():
-                self._inner.unload_table(name)
+            super().unload_table(name)
         finally:
             self._invalidate_table(name)
-
-    def table_schema(self, name: str) -> Schema | None:
-        return self._inner.table_schema(name)
-
-    def table_row_count(self, name: str) -> int | None:
-        return self._inner.table_row_count(name)
-
-    def table_version(self, name: str) -> int | None:
-        return self._inner.table_version(name)
 
     def materialize_filtered(
         self, name, source: str, predicate, row_range=None
@@ -297,28 +271,18 @@ class CachedEngine(Engine):
         # Writing to ``name`` replaces it like a load would.
         self._invalidate_table(name)
         try:
-            with self._inner_slot():
-                if row_range is None:  # legacy three-argument inners work
-                    return self._inner.materialize_filtered(
-                        name, source, predicate
-                    )
-                return self._inner.materialize_filtered(
-                    name, source, predicate, row_range
-                )
+            return super().materialize_filtered(
+                name, source, predicate, row_range
+            )
         finally:
             self._invalidate_table(name)
-
-    def create_index(self, table: str, column: str) -> None:
-        with self._inner_slot():
-            self._inner.create_index(table, column)
 
     def execute(self, query: Query) -> ResultSet:
         tables = frozenset(query.table_names())
         if any(name.startswith(TEMP_PREFIX) for name in tables):
             # Shared-scan temps are transient; caching them would risk
             # stale reads after their base table mutates.
-            with self._inner_slot():
-                return self._inner.execute(query)
+            return self._inner.execute(query)
         key = format_query(query)
         with self._lock:
             cached = self._entries.get(key)
@@ -331,8 +295,7 @@ class CachedEngine(Engine):
             epoch = self._epoch
 
         def compute() -> ResultSet:
-            with self._inner_slot():
-                result = self._inner.execute(query)
+            result = self._inner.execute(query)
             with self._lock:
                 self.misses += 1
                 registry = _metrics.ACTIVE
@@ -394,18 +357,15 @@ class CachedEngine(Engine):
         ``multiplan``, an unfiltered group's fusion classes evaluate in
         one combined pass (:mod:`repro.engine.multiplan`), every
         per-plan result still cached under its own SQL. A
-        ``batch=False`` policy executes per query through the wrapper
-        itself, so the per-query LRU keeps answering repeats.
+        ``batch=False`` policy takes :meth:`Engine.execute_batch`'s
+        per-query dispatch through the wrapper itself, so the per-query
+        LRU keeps answering repeats.
         """
         from repro.execution import coerce_policy
 
         policy = coerce_policy(policy)
         if not policy.batch:
-            # One sequential-policy dispatch for the whole stack;
-            # executing through the wrapper keeps the per-query LRU.
-            from repro.concurrency.sessions import execute_all
-
-            return execute_all(self, list(queries), workers=policy.workers)
+            return super().execute_batch(queries, policy)
         with self._lock:
             if self._batch_executor is None:
                 from repro.concurrency.executor import ScanGroupExecutor
@@ -439,4 +399,4 @@ class CachedEngine(Engine):
             executor = self._batch_executor
         if executor is not None:
             executor.close()  # retire the persistent worker pool
-        self._inner.close()
+        super().close()

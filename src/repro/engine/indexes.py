@@ -134,10 +134,6 @@ class TableIndexes:
         self._hash[column] = HashIndex(values)
         self._range[column] = RangeIndex(values)
 
-    @property
-    def indexed_columns(self) -> list[str]:
-        return sorted(self._hash)
-
     def hash_index(self, column: str) -> HashIndex | None:
         return self._hash.get(column)
 

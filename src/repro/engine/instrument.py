@@ -3,7 +3,9 @@
 Not part of the execution path: wrappers here observe engine traffic so
 the test suite and the examples can verify optimizer claims (scan
 counts) at the engine boundary instead of trusting an executor's
-self-reported statistics.
+self-reported statistics. Both derive from
+:class:`~repro.engine.interface.EngineWrapper` and override only the
+calls they observe; everything else forwards to the wrapped engine.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ import threading
 import time
 
 from repro.engine.batch import TEMP_PREFIX
-from repro.engine.interface import Engine, ResultSet
-from repro.engine.table import Schema, Table
+from repro.engine.interface import Engine, EngineWrapper, ResultSet
 from repro.sql.ast import Query
 
 
-class CountingEngine(Engine):
+class CountingEngine(EngineWrapper):
     """Transparent wrapper counting executions per FROM table.
 
     Counter updates are mutex-guarded so the wrapper can instrument a
@@ -25,7 +26,7 @@ class CountingEngine(Engine):
     """
 
     def __init__(self, inner: Engine) -> None:
-        self._inner = inner
+        super().__init__(inner)
         # repro: allow(RA106) — counter guard for the test/bench scan
         # instrumentation; spawns no threads.
         self._lock = threading.Lock()
@@ -34,22 +35,6 @@ class CountingEngine(Engine):
         #: Subset of ``scans``: materializations that carried a row
         #: range, i.e. per-shard base scans of sharded execution.
         self.shard_scans: dict[str, int] = {}
-
-    @property
-    def inner(self) -> Engine:
-        return self._inner
-
-    @property
-    def supports_indexes(self) -> bool:  # type: ignore[override]
-        return self._inner.supports_indexes
-
-    @property
-    def thread_safe(self) -> bool:  # type: ignore[override]
-        return self._inner.thread_safe
-
-    @property
-    def parallel_scans(self) -> bool:  # type: ignore[override]
-        return self._inner.parallel_scans
 
     def base_scans(self) -> int:
         """Executions that read a base (non-temporary) table."""
@@ -65,27 +50,10 @@ class CountingEngine(Engine):
             self.scans.clear()
             self.shard_scans.clear()
 
-    def load_table(self, table: Table) -> None:
-        self._inner.load_table(table)
-
-    def unload_table(self, name: str) -> None:
-        self._inner.unload_table(name)
-
-    def table_schema(self, name: str) -> Schema | None:
-        return self._inner.table_schema(name)
-
-    def table_row_count(self, name: str) -> int | None:
-        return self._inner.table_row_count(name)
-
     def materialize_filtered(
         self, name, source: str, predicate, row_range=None
     ) -> bool:
-        if row_range is None:  # legacy three-argument inners work
-            done = self._inner.materialize_filtered(name, source, predicate)
-        else:
-            done = self._inner.materialize_filtered(
-                name, source, predicate, row_range
-            )
+        done = super().materialize_filtered(name, source, predicate, row_range)
         if done:
             # A native shared scan reads the base table once; a sharded
             # scan reads one row range, counted per shard so tests
@@ -98,20 +66,14 @@ class CountingEngine(Engine):
                     )
         return done
 
-    def create_index(self, table: str, column: str) -> None:
-        self._inner.create_index(table, column)
-
     def execute(self, query: Query) -> ResultSet:
         with self._lock:
             for table in query.table_names():  # joins scan every table
                 self.scans[table] = self.scans.get(table, 0) + 1
-        return self._inner.execute(query)
-
-    def close(self) -> None:
-        self._inner.close()
+        return super().execute(query)
 
 
-class DispatchLatencyEngine(Engine):
+class DispatchLatencyEngine(EngineWrapper):
     """Adds a fixed per-call latency, modeling a remote DBMS round trip.
 
     The engines here are in-process, but the deployments the paper
@@ -123,10 +85,11 @@ class DispatchLatencyEngine(Engine):
     count, and it is the dominant win for interactive dashboards.
 
     The wrapper is thread-safe regardless of its inner engine: round
-    trips overlap freely, while calls into a non-thread-safe inner
-    serialize through its slot-gating wrapper
-    (:func:`repro.concurrency.policy.slot_gated`) — the same leaf
-    discipline :class:`~repro.engine.cache.CachedEngine` uses.
+    trips overlap freely, while calls into a non-thread-safe engine
+    serialize because the wrapper's ``inner`` is that engine's
+    slot-gating wrapper (:func:`repro.concurrency.policy.slot_gated`) —
+    the same leaf discipline :class:`~repro.engine.cache.CachedEngine`
+    uses.
     """
 
     thread_safe = True
@@ -137,52 +100,20 @@ class DispatchLatencyEngine(Engine):
     def __init__(self, inner: Engine, latency_ms: float) -> None:
         from repro.concurrency.policy import slot_gated
 
-        self._inner = inner
-        self._gated = slot_gated(inner)
-        self._latency_s = max(0.0, latency_ms) / 1000.0
+        super().__init__(slot_gated(inner))
         self.latency_ms = max(0.0, latency_ms)
-        self.name = inner.name  # transparent: results carry the real name
-
-    @property
-    def inner(self) -> Engine:
-        return self._inner
-
-    @property
-    def supports_indexes(self) -> bool:  # type: ignore[override]
-        return self._inner.supports_indexes
+        self._latency_s = self.latency_ms / 1000.0
 
     def _round_trip(self) -> None:
         if self._latency_s > 0.0:
             time.sleep(self._latency_s)
 
-    def load_table(self, table: Table) -> None:
-        self._gated.load_table(table)
-
-    def unload_table(self, name: str) -> None:
-        self._gated.unload_table(name)
-
-    def table_schema(self, name: str) -> Schema | None:
-        return self._gated.table_schema(name)
-
-    def table_row_count(self, name: str) -> int | None:
-        return self._gated.table_row_count(name)
-
     def materialize_filtered(
         self, name, source: str, predicate, row_range=None
     ) -> bool:
         self._round_trip()  # every shard's scan pays its own round trip
-        if row_range is None:  # legacy three-argument inners work
-            return self._gated.materialize_filtered(name, source, predicate)
-        return self._gated.materialize_filtered(
-            name, source, predicate, row_range
-        )
-
-    def create_index(self, table: str, column: str) -> None:
-        self._gated.create_index(table, column)
+        return super().materialize_filtered(name, source, predicate, row_range)
 
     def execute(self, query: Query) -> ResultSet:
         self._round_trip()
-        return self._gated.execute(query)
-
-    def close(self) -> None:
-        self._inner.close()
+        return super().execute(query)

@@ -9,9 +9,11 @@ harness calls — query duration is the paper's primary metric (§6.2.5).
 from __future__ import annotations
 
 import abc
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ContextManager
 
 from repro.engine.table import Database, Schema, Table
 from repro.sql.ast import Query
@@ -215,9 +217,8 @@ class Engine(abc.ABC):
         """Row count of a loaded table, or ``None`` when unknown.
 
         The sharded executor partitions tables by row range and needs
-        the extent up front. Returning ``None`` (the default, and what
-        any wrapper that does not explicitly delegate inherits) marks
-        the engine unshardable, so sharding degrades safely to the
+        the extent up front. Returning ``None`` (the default) marks the
+        engine unshardable, so sharding degrades safely to the
         one-task-per-group path rather than guessing.
         """
         return None
@@ -238,9 +239,8 @@ class Engine(abc.ABC):
         Process-backed execution exports a table to shared memory once
         per generation and keys the export on this value; a table whose
         version it cannot learn is never exported (the policy degrades
-        to the thread backend). The default — and what any wrapper that
-        does not delegate inherits — is ``None``: no generation, no
-        export, safe degradation.
+        to the thread backend). The default is ``None``: no generation,
+        no export, safe degradation.
         """
         return None
 
@@ -344,6 +344,93 @@ class Engine(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class EngineWrapper(Engine):
+    """Base for engines that wrap another engine.
+
+    Forwards the whole :class:`Engine` surface to :attr:`inner`, so a
+    wrapper overrides only the calls it changes: a cache its lookups, a
+    counter its tallies, a gate its slot. ``name`` and the capability
+    flags ``supports_indexes``, ``thread_safe`` and ``parallel_scans``
+    follow the inner engine unless a subclass declares its own. The
+    process-shard flags do not: the exporter is found by walking
+    ``inner`` (:func:`~repro.concurrency.policy.process_shard_engine`).
+    ``execute_batch`` is not forwarded either, so a batch on a wrapper
+    runs its shared scans through the wrapper's own calls.
+    """
+
+    def __init__(self, inner: Engine) -> None:
+        self._inner = inner
+        self.name = inner.name
+
+    @property
+    def inner(self) -> Engine:
+        """The wrapped engine."""
+        return self._inner
+
+    @property
+    def supports_indexes(self) -> bool:  # type: ignore[override]
+        return self._inner.supports_indexes
+
+    @property
+    def thread_safe(self) -> bool:  # type: ignore[override]
+        return self._inner.thread_safe
+
+    @property
+    def parallel_scans(self) -> bool:  # type: ignore[override]
+        return self._inner.parallel_scans
+
+    def _gate(self) -> ContextManager[None]:
+        """Context every forwarded call runs in (none by default)."""
+        return contextlib.nullcontext()
+
+    def load_table(self, table: Table) -> None:
+        with self._gate():
+            self._inner.load_table(table)
+
+    def unload_table(self, name: str) -> None:
+        with self._gate():
+            self._inner.unload_table(name)
+
+    def table_schema(self, name: str) -> Schema | None:
+        with self._gate():
+            return self._inner.table_schema(name)
+
+    def table_row_count(self, name: str) -> int | None:
+        with self._gate():
+            return self._inner.table_row_count(name)
+
+    def table_version(self, name: str) -> int | None:
+        with self._gate():
+            return self._inner.table_version(name)
+
+    def table_object(self, name: str) -> Table | None:
+        with self._gate():
+            return self._inner.table_object(name)
+
+    def materialize_filtered(
+        self, name, source: str, predicate, row_range=None
+    ) -> bool:
+        with self._gate():
+            if row_range is None:  # three-argument inners keep working
+                return self._inner.materialize_filtered(
+                    name, source, predicate
+                )
+            return self._inner.materialize_filtered(
+                name, source, predicate, row_range
+            )
+
+    def create_index(self, table: str, column: str) -> None:
+        with self._gate():
+            self._inner.create_index(table, column)
+
+    def execute(self, query: Query) -> ResultSet:
+        with self._gate():
+            return self._inner.execute(query)
+
+    def close(self) -> None:
+        self._inner.close()
 
 
 class DatabaseBackedEngine(Engine):

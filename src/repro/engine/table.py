@@ -428,12 +428,3 @@ def _csv_cell(value: object) -> str:
     if isinstance(value, _dt.date):
         return value.isoformat()
     return str(value)
-
-
-def timestamp_to_ordinal(value: object) -> float:
-    """Map a temporal value to a float for numpy-side arithmetic."""
-    if isinstance(value, _dt.datetime):
-        return value.timestamp()
-    if isinstance(value, _dt.date):
-        return _dt.datetime(value.year, value.month, value.day).timestamp()
-    raise ValueError(f"not a temporal value: {value!r}")

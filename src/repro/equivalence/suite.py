@@ -170,9 +170,3 @@ class EquivalenceSuite:
     ) -> float:
         """Mean goal coverage in [0, 1] — the Oracle's heuristic θ."""
         return goal_set_overlap(goal_queries, observed_queries, self.cache)
-
-    def query_overlap(self, goal: Query, candidate: Query) -> float:
-        """Coverage fraction of one goal by one candidate query."""
-        goal_result = self.cache.execute(goal)
-        candidate_result = self.cache.execute(candidate)
-        return coverage_fraction(goal_result, [candidate_result])

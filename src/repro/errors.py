@@ -65,10 +65,6 @@ class SimulationError(SimbaError):
     """Raised when a simulation cannot make progress."""
 
 
-class EquivalenceError(SimbaError):
-    """Raised when equivalence testing is given unsupported queries."""
-
-
 class ConfigError(SimbaError):
     """Raised for invalid benchmark harness configurations."""
 

@@ -26,8 +26,10 @@ down (there are no scan groups to shard or combine outside batch mode);
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from repro.errors import ConfigError
 
@@ -324,12 +326,120 @@ def compose_cli_policy(
     return base.evolve(**flags) if flags else base
 
 
+def add_policy_arguments(parser, *, overlaps: str, scope: str) -> None:
+    """Declare the execution-policy flags and ``--trace`` on ``parser``.
+
+    The one CLI surface for saying how to execute: a ``--policy``
+    preset, the per-knob flags that compose on top of it
+    (:func:`policy_from_args`), and ``--trace`` (:func:`cli_trace`).
+    ``overlaps`` says what ``--workers`` overlaps and ``scope`` names
+    what ``--trace`` records.
+    """
+    import argparse
+
+    parser.add_argument(
+        "--policy", default=None, metavar="PRESET",
+        choices=ExecutionPolicy.PRESETS,
+        help="execution-policy preset: "
+        f"{', '.join(ExecutionPolicy.PRESETS)} (individual "
+        "--batch/--workers/--shards/--multiplan/--backend flags compose "
+        "on top; default: serial, one engine call per query, the "
+        "paper's sequential setup)",
+    )
+    parser.add_argument(
+        "--batch", action=argparse.BooleanOptionalAction, default=None,
+        help="execute each interaction's query fan-out through the "
+        "shared-scan batch optimizer (--no-batch: one engine call per "
+        "query)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help=f"worker-pool width: overlaps {overlaps} (1 = sequential; "
+        "results are identical for any value, only wall-clock changes)",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=None,
+        help="row-range shards per scan group: each batched fan-out's "
+        "base scans split into this many per-shard tasks merged via "
+        "partial-aggregate rollup (needs batch mode; 1 = unsharded; "
+        "results are identical for any value)",
+    )
+    parser.add_argument(
+        "--multiplan", action=argparse.BooleanOptionalAction, default=None,
+        help="evaluate each unfiltered scan group's fusion classes in "
+        "one combined pass — the initial render's one-scan-per-GROUP-BY "
+        "shape collapses to one scan per table (needs batch mode; "
+        "results are identical either way)",
+    )
+    parser.add_argument(
+        "--backend", default=None, choices=BACKENDS,
+        help="where batched shard work executes: threads (default) or "
+        "worker processes fed from shared-memory table exports (needs "
+        "batch mode; results are identical either way)",
+    )
+    parser.add_argument(
+        "--trace", metavar="FILE", default=None,
+        help=f"record the {scope}'s telemetry and write a Chrome "
+        "trace-event JSON file (loadable in Perfetto / chrome://tracing)",
+    )
+
+
+def policy_from_args(parser, args) -> ExecutionPolicy:
+    """The policy :func:`add_policy_arguments`' flags compose.
+
+    Starts from ``ExecutionPolicy.serial()``, prints the
+    ``execution policy:`` line, and exits with status 2 (through
+    ``parser.error``) on an invalid composition.
+    """
+    try:
+        policy = compose_cli_policy(
+            args.policy,
+            base=ExecutionPolicy.serial(),
+            batch=args.batch,
+            workers=args.workers,
+            shards=args.shards,
+            multiplan=args.multiplan,
+            backend=args.backend,
+        ) or ExecutionPolicy.serial()
+    except ConfigError as exc:
+        parser.error(
+            f"{exc} — on this CLI, add --batch or pick a batch --policy "
+            f"preset"
+        )
+    print(f"execution policy: {policy.describe()}")
+    return policy
+
+
+@contextlib.contextmanager
+def cli_trace(path: str | None) -> Iterator[None]:
+    """Record telemetry while the block runs; write it to ``path``.
+
+    The file is a Chrome trace-event JSON, written even when the block
+    raises. ``None`` (no ``--trace`` given) records nothing.
+    """
+    if path is None:
+        yield
+        return
+    from repro.telemetry import Telemetry, write_chrome_trace
+
+    telemetry = Telemetry().activate()
+    try:
+        yield
+    finally:
+        telemetry.deactivate()
+        out = write_chrome_trace(telemetry.tracer, path)
+        print(f"trace: {len(telemetry.tracer)} spans -> {out}")
+
+
 __all__ = [
     "AUTO_MAX_WORKERS",
     "AUTO_MIN_WORKERS",
     "AUTO_ROWS_PER_SHARD",
     "BACKENDS",
     "ExecutionPolicy",
+    "add_policy_arguments",
+    "cli_trace",
     "coerce_policy",
     "compose_cli_policy",
+    "policy_from_args",
 ]

@@ -18,7 +18,7 @@ import sys
 from repro.dashboard.library import DASHBOARD_NAMES
 from repro.engine.registry import available_engines
 from repro.errors import ConfigError
-from repro.execution import ExecutionPolicy, compose_cli_policy
+from repro.execution import add_policy_arguments, cli_trace, policy_from_args
 from repro.harness.config import BenchmarkConfig
 from repro.harness.runner import BenchmarkRunner
 from repro.metrics.report import format_table
@@ -63,46 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--table4", action="store_true",
         help="also print workload-shape statistics per dashboard",
     )
-    parser.add_argument(
-        "--policy", default=None, metavar="PRESET",
-        choices=ExecutionPolicy.PRESETS,
-        help="execution-policy preset: "
-        f"{', '.join(ExecutionPolicy.PRESETS)} (individual "
-        "--batch/--workers/--shards/--multiplan/--backend flags compose "
-        "on top; "
-        "default: serial, the paper's sequential setup)",
-    )
-    parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="execute each interaction's query fan-out through the "
-        "shared-scan batch optimizer (--no-batch: one engine call per "
-        "query, the paper's sequential setup)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool width: overlaps independent engine x run grid "
-        "cells and each session's scan groups (1 = sequential; results "
-        "are identical for any value, only wall-clock changes)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="row-range shards per scan group: each batched fan-out's "
-        "base scans split into this many per-shard tasks merged via "
-        "partial-aggregate rollup (needs batch mode; 1 = unsharded; "
-        "results are identical for any value)",
-    )
-    parser.add_argument(
-        "--multiplan", action=argparse.BooleanOptionalAction, default=None,
-        help="evaluate each unfiltered scan group's fusion classes in "
-        "one combined pass — the initial render's one-scan-per-GROUP-BY "
-        "shape collapses to one scan per table (needs batch mode; "
-        "results are identical either way)",
-    )
-    parser.add_argument(
-        "--backend", default=None, choices=("threads", "processes"),
-        help="where batched shard work executes: threads (default) or "
-        "worker processes fed from shared-memory table exports (needs "
-        "batch mode; results are identical either way)",
+    add_policy_arguments(
+        parser,
+        overlaps="independent engine x run grid cells and each "
+        "session's scan groups",
+        scope="run",
     )
     parser.add_argument(
         "--progress", action="store_true", help="print per-run progress"
@@ -112,27 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write each session's log as JSONL into DIR "
         "(replayable with python -m repro.logs.cli)",
     )
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="record the run's telemetry and write a Chrome trace-event "
-        "JSON file (loadable in Perfetto / chrome://tracing)",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    policy = policy_from_args(parser, args)
     try:
-        policy = compose_cli_policy(
-            args.policy,
-            base=ExecutionPolicy.serial(),
-            batch=args.batch,
-            workers=args.workers,
-            shards=args.shards,
-            multiplan=args.multiplan,
-            backend=args.backend,
-        )
         config = BenchmarkConfig(
             dashboards=tuple(args.dashboards),
             workflows=tuple(args.workflows),
@@ -143,26 +95,12 @@ def main(argv: list[str] | None = None) -> int:
             policy=policy,
         )
     except ConfigError as exc:
-        parser.error(f"{exc} — on this CLI, add --batch or pick a batch "
-                     f"--policy preset")
-    print(f"execution policy: {config.policy.describe()}")
-    if config.policy.workers > 1:
-        print(f"grid-cell overlap: {config.policy.workers} workers")
+        parser.error(str(exc))
+    if policy.workers > 1:
+        print(f"grid-cell overlap: {policy.workers} workers")
     runner = BenchmarkRunner(config, log_directory=args.export_logs)
-    telemetry = None
-    if args.trace is not None:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry().activate()
-    try:
+    with cli_trace(args.trace):
         result = runner.run(progress=args.progress)
-    finally:
-        if telemetry is not None:
-            from repro.telemetry import write_chrome_trace
-
-            telemetry.deactivate()
-            path = write_chrome_trace(telemetry.tracer, args.trace)
-            print(f"trace: {len(telemetry.tracer)} spans -> {path}")
 
     print("\nQuery-duration summary:")
     print(

@@ -23,8 +23,7 @@ from pathlib import Path
 
 from repro.dashboard.library import DASHBOARD_NAMES, load_dashboard
 from repro.engine.registry import available_engines, create_engine
-from repro.errors import ConfigError
-from repro.execution import ExecutionPolicy, compose_cli_policy
+from repro.execution import add_policy_arguments, cli_trace, policy_from_args
 from repro.logs.eva import eva_metrics
 from repro.logs.io import read_csv, read_jsonl, write_csv, write_jsonl
 from repro.logs.records import export_session
@@ -78,48 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-check", action="store_true",
         help="skip cardinality checking",
     )
-    replay.add_argument(
-        "--policy", default=None, metavar="PRESET",
-        choices=ExecutionPolicy.PRESETS,
-        help="execution-policy preset for the replay: "
-        f"{', '.join(ExecutionPolicy.PRESETS)} (individual "
-        "--batch/--workers/--shards/--multiplan/--backend flags compose "
-        "on top; "
-        "default: serial, one engine call per logged query)",
-    )
-    replay.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="replay each interaction's fan-out through the shared-scan "
-        "batch optimizer",
-    )
-    replay.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool width for overlapping the replay "
-        "(1 = sequential; results are identical for any value)",
-    )
-    replay.add_argument(
-        "--shards", type=int, default=None,
-        help="row-range shards per scan group during batched replay "
-        "(needs batch mode; 1 = unsharded; results are identical for "
-        "any value)",
-    )
-    replay.add_argument(
-        "--multiplan", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="evaluate each unfiltered scan group's fusion classes in "
-        "one combined pass during batched replay (needs batch mode; "
-        "results are identical either way)",
-    )
-    replay.add_argument(
-        "--backend", default=None, choices=("threads", "processes"),
-        help="where batched shard work executes: threads (default) or "
-        "worker processes fed from shared-memory table exports (needs "
-        "batch mode; results are identical either way)",
-    )
-    replay.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="record the replay's telemetry and write a Chrome "
-        "trace-event JSON file (loadable in Perfetto / chrome://tracing)",
+    add_policy_arguments(
+        replay, overlaps="the replay's queries", scope="replay"
     )
 
     metrics = commands.add_parser(
@@ -131,11 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "simulate":
         return _simulate(args)
     if args.command == "replay":
-        return _replay(args)
+        return _replay(args, policy_from_args(parser, args))
     return _metrics(args)
 
 
@@ -185,45 +145,15 @@ def _simulate(args) -> int:
     return 0
 
 
-def _replay(args) -> int:
-    try:
-        policy = compose_cli_policy(
-            args.policy,
-            base=ExecutionPolicy.serial(),
-            batch=args.batch,
-            workers=args.workers,
-            shards=args.shards,
-            multiplan=args.multiplan,
-            backend=args.backend,
-        ) or ExecutionPolicy.serial()
-    except ConfigError as exc:
-        print(
-            f"error: {exc} — on this CLI, add --batch or pick a batch "
-            f"--policy preset",
-            file=sys.stderr,
-        )
-        return 2
-    print(f"execution policy: {policy.describe()}")
+def _replay(args, policy) -> int:
     log = _read_any(args.log)
     engine = create_engine(args.engine)
     table = generate_dataset(log.dashboard, args.rows, seed=args.seed)
     engine.load_table(table)
-    telemetry = None
-    if args.trace is not None:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry().activate()
-    try:
+    with cli_trace(args.trace):
         report = replay_log(
             log, engine, check_cardinality=not args.no_check, policy=policy
         )
-    finally:
-        if telemetry is not None:
-            from repro.telemetry import write_chrome_trace
-
-            telemetry.deactivate()
-            out = write_chrome_trace(telemetry.tracer, args.trace)
-            print(f"trace: {len(telemetry.tracer)} spans -> {out}")
     print(
         f"replayed {report.query_count} queries on {engine.name}: "
         f"mean {report.average_duration_ms():.3f} ms"

@@ -12,6 +12,7 @@ replay harness exists to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from repro.engine.interface import Engine, QueryResult
 from repro.errors import SimbaError
@@ -67,25 +68,23 @@ def replay_log(
     against. With ``strict=True`` the first cardinality mismatch raises;
     otherwise mismatches are collected in the report.
 
+    Each interaction's fan-out — the consecutive entries sharing one
+    ``step`` — replays as one unit through
+    :meth:`~repro.engine.interface.Engine.execute_batch` under
     ``policy`` (an :class:`~repro.execution.ExecutionPolicy` or preset
-    name) picks the replay strategy; the default is the historical
-    sequential replay — ``ExecutionPolicy.serial()``, one engine call
-    per logged query, in order.
+    name). The default is the historical sequential replay,
+    ``ExecutionPolicy.serial()``: one engine call per logged query, in
+    order. A batch policy sends each step through the shared-scan
+    optimizer, recreating the multi-query execution a batching
+    dashboard backend performs; its ``shards``/``multiplan`` knobs split
+    and combine the step's scan groups (:mod:`repro.sharding`,
+    :mod:`repro.engine.multiplan`).
 
-    A batch policy replays each interaction's fan-out — the
-    consecutive entries sharing one ``step`` — as a single unit
-    through the shared-scan optimizer
-    (:meth:`~repro.engine.interface.Engine.execute_batch`), recreating
-    the multi-query execution a batching dashboard backend performs;
-    its ``shards``/``multiplan`` knobs split and combine the step's
-    scan groups (:mod:`repro.sharding`, :mod:`repro.engine.multiplan`).
-
-    ``workers > 1`` overlaps the replay over a worker pool — scan
-    groups within each step in batch mode, individual queries
-    otherwise. Results and mismatch reports are identical for every
-    policy (queries still record in log order); only ``strict``
-    raising moves from mid-execution to the recording pass, since
-    overlapped queries have already run when checks happen.
+    ``workers > 1`` overlaps each step over a worker pool — its scan
+    groups in batch mode, its individual queries otherwise. Results and
+    mismatch reports are identical for every policy (queries record in
+    log order). ``strict`` checks a step once it has run, so it raises
+    at the first mismatching step, before any later step executes.
     """
     from repro.execution import ExecutionPolicy, coerce_policy
 
@@ -105,23 +104,6 @@ def replay_log(
                     f"{timed.rows_returned} for {entry.sql!r}"
                 )
             report.mismatches.append(mismatch)
-
-    if not policy.batch:
-        if policy.workers > 1:
-            from repro.concurrency.sessions import execute_all
-
-            queries = [parse_query(e.sql) for e in log.entries]
-            timed_results = execute_all(
-                engine, queries, workers=policy.workers
-            )
-            for entry, timed in zip(log.entries, timed_results):
-                record(entry, timed)
-            return report
-        for entry in log.entries:
-            record(entry, engine.execute_timed(parse_query(entry.sql)))
-        return report
-
-    from itertools import groupby
 
     for _, group in groupby(log.entries, key=lambda e: e.step):
         step_entries = list(group)

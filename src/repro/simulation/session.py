@@ -340,30 +340,17 @@ class SessionSimulator:
         tracker.observe(observed)
         return tracker.progress
 
-    def _measure(self, query: Query) -> QueryResult:
-        """Run one query on the system under test, timed."""
-        return self.measured_engine.execute_timed(query)
-
     def _measure_all(self, queries: list[Query]) -> list[QueryResult]:
         """Run one interaction's emitted fan-out on the measured engine.
 
-        ``config.policy`` decides the strategy: batch policies send the
-        whole fan-out through the shared-scan optimizer as a single
-        unit — the execution strategy under test — while sequential
-        policies preserve the paper's one-call-per-query behavior,
-        workers overlapping the independent units either way; results
-        are byte-identical.
+        ``config.policy`` decides the strategy
+        (:meth:`~repro.engine.interface.Engine.execute_batch`): batch
+        policies send the whole fan-out through the shared-scan
+        optimizer as a single unit — the execution strategy under test
+        — while sequential policies preserve the paper's
+        one-call-per-query behavior, workers overlapping the independent
+        units either way; results are byte-identical.
         """
-        policy = self.config.policy
-        if policy.batch:
-            return self.measured_engine.execute_batch(
-                list(queries), policy
-            )
-        if policy.workers > 1:
-            from repro.concurrency.sessions import execute_all
-
-            return execute_all(
-                self.measured_engine, list(queries),
-                workers=policy.workers,
-            )
-        return [self._measure(q) for q in queries]
+        return self.measured_engine.execute_batch(
+            list(queries), self.config.policy
+        )

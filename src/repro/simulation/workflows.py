@@ -56,18 +56,6 @@ class Workflow:
                     f"{template_name!r}"
                 )
 
-    def is_applicable(
-        self, schema: Schema, usable_columns: set[str] | None = None
-    ) -> bool:
-        """Whether every template's requirements are satisfiable."""
-        try:
-            self.instantiate(
-                "probe", schema, random.Random(0), usable_columns
-            )
-        except WorkflowNotApplicable:
-            return False
-        return True
-
     def instantiate(
         self,
         table: str,

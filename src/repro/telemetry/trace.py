@@ -214,9 +214,5 @@ class Tracer:
         with self._lock:
             return len(self._spans)
 
-    def current_span(self) -> Span | None:
-        """The context's current span (``None`` outside any span)."""
-        return _CURRENT.get()
-
 
 __all__ = ["ACTIVE", "Span", "Tracer"]

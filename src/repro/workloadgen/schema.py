@@ -196,16 +196,6 @@ class WorkloadSchema:
             ),
         )
 
-    def evolve_field(self, name: str, **changes: object) -> "WorkloadSchema":
-        """A copy with one field's knobs replaced (re-validated)."""
-        self.field(name)  # raise early on unknown names
-        return replace(
-            self,
-            fields=tuple(
-                replace(f, **changes) if f.name == name else f
-                for f in self.fields
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------

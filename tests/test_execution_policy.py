@@ -559,6 +559,78 @@ def test_cli_parsers_accept_policy_presets():
     assert args.policy == "serial" and args.workers == 2
 
 
+def _cli_parser(cli: str):
+    """(parser, argv prefix) of one of the two CLIs with policy flags."""
+    if cli == "harness":
+        from repro.harness.cli import build_parser
+
+        return build_parser(), []
+    from repro.logs.cli import build_parser
+
+    return build_parser(), ["replay", "log.jsonl"]
+
+
+@pytest.mark.parametrize("cli", ["harness", "logs"])
+def test_cli_policy_surface_is_one_helper(cli, capsys):
+    from repro.execution import policy_from_args
+
+    parser, prefix = _cli_parser(cli)
+    args = parser.parse_args(prefix)
+    flags = ("policy", "batch", "workers", "shards", "multiplan",
+             "backend", "trace")
+    assert all(getattr(args, flag) is None for flag in flags)
+    assert policy_from_args(parser, args) == ExecutionPolicy.serial()
+    assert capsys.readouterr().out == (
+        f"execution policy: {ExecutionPolicy.serial().describe()}\n"
+    )
+    args = parser.parse_args(
+        prefix
+        + ["--policy", "batch", "--workers", "3", "--shards", "2",
+           "--multiplan", "--backend", "processes", "--trace", "t.json"]
+    )
+    assert policy_from_args(parser, args) == ExecutionPolicy.preset(
+        "batch"
+    ).evolve(workers=3, shards=2, multiplan=True, backend="processes")
+    assert args.trace == "t.json"
+    args = parser.parse_args(prefix + ["--no-batch", "--workers", "2"])
+    assert policy_from_args(parser, args) == ExecutionPolicy.serial().evolve(
+        workers=2
+    )
+
+
+@pytest.mark.parametrize("cli", ["harness", "logs"])
+def test_cli_invalid_policy_composition_exits_2(cli, capsys):
+    from repro.harness.cli import main as harness_main
+    from repro.logs.cli import main as logs_main
+
+    main = harness_main if cli == "harness" else logs_main
+    _, prefix = _cli_parser(cli)
+    with pytest.raises(SystemExit) as exit_info:
+        main(prefix + ["--shards", "4"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "add --batch or pick a batch --policy preset" in captured.err
+    assert "execution policy:" not in captured.out
+
+
+def test_cli_trace_writes_a_chrome_trace(tmp_path, capsys):
+    import json
+
+    from repro.execution import cli_trace
+
+    with cli_trace(None):
+        pass
+    assert capsys.readouterr().out == ""
+    path = tmp_path / "trace.json"
+    engine = create_engine("vectorstore")
+    engine.load_table(make_calls_table())
+    with cli_trace(str(path)):
+        engine.execute_batch([parse_query(_REFRESH_SQL[0])])
+    assert "traceEvents" in json.loads(path.read_text())
+    assert capsys.readouterr().out.startswith("trace: ")
+    engine.close()
+
+
 def test_logs_cli_replay_policy_end_to_end(tmp_path):
     from repro.logs.cli import main as logs_main
     from repro.logs.io import write_jsonl
