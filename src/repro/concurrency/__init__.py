@@ -13,7 +13,9 @@ Layers, bottom up:
 - :mod:`repro.concurrency.pool` — the worker pool. ``workers=1``
   resolves to an inline :class:`~repro.concurrency.pool.SerialPool`, so
   the default path is *exactly* the sequential execution (no threads,
-  no queues).
+  no queues). Batches run on the process-wide pool for their worker
+  count (:func:`~repro.concurrency.pool.shared_worker_pool`), so their
+  threads outlive the call.
 - :mod:`repro.concurrency.policy` — per-engine execution policies.
   SQLite executes scan groups with true thread parallelism (per-thread
   connections release the GIL inside the C library); the pure-Python
@@ -49,7 +51,13 @@ pinned while a task's temp relations are live.
 """
 
 from repro.concurrency.executor import ScanGroupExecutor
-from repro.concurrency.pool import SerialPool, WorkerPool, create_pool, map_ordered
+from repro.concurrency.pool import (
+    SerialPool,
+    WorkerPool,
+    create_pool,
+    map_ordered,
+    shared_worker_pool,
+)
 from repro.concurrency.policy import (
     SlotGatedEngine,
     execution_slot,
@@ -88,6 +96,7 @@ __all__ = [
     "refresh_many",
     "run_tasks",
     "shared_process_pool",
+    "shared_worker_pool",
     "shutdown_shared_pool",
     "slot_gated",
     "thread_safe",

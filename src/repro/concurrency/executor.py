@@ -67,6 +67,13 @@ Thread-safety contract (what PR 2 established, spelled out):
   SQLite-side state; a generation counter refreshes replicas after
   base-table loads, and in-flight temps pin their replica until the
   task finishes.
+- **Shared, leaf-only pools.** Parallel units run on the process's
+  long-lived pool for ``policy.workers``
+  (:func:`~repro.concurrency.pool.shared_worker_pool`): the executor
+  owns no threads, so a per-call executor costs no thread start and
+  no replica snapshot once the pool is warm. Units are leaf engine
+  work only — none of them dispatches another batch — so a unit can
+  never wait on a future queued behind it in the same pool.
 """
 
 from __future__ import annotations
@@ -88,7 +95,7 @@ from repro.concurrency.policy import (
     process_shard_engine,
     slot_gated,
 )
-from repro.concurrency.pool import WorkerPool, map_ordered
+from repro.concurrency.pool import map_ordered, shared_worker_pool
 from repro.concurrency.procpool import shared_process_pool
 from repro.concurrency.singleflight import SingleFlight
 from repro.sharding import Partitioner
@@ -139,32 +146,18 @@ class ScanGroupExecutor(BatchExecutor):
         #: does NOT own and never shuts down). Tests inject a fresh
         #: pool here to isolate fault-injection blast radius.
         self._proc_pool = proc_pool
-        # Guards the worker-pool handle and, for concurrent run()
-        # calls, grouping over BatchExecutor's shared key memo.
+        # Guards grouping over BatchExecutor's shared key memo for
+        # concurrent run() calls.
         self._shared_lock = threading.Lock()
-        self._pool: WorkerPool | None = None
-
-    def _pool_for(self, workers: int) -> WorkerPool:
-        """The executor's persistent pool (created on first parallel run).
-
-        Persistence matters beyond thread-start cost: SQLite replicas
-        are per-thread snapshots, so a long-lived executor reusing its
-        threads amortizes one database copy across many refreshes
-        instead of re-snapshotting on every call. The pool is sized by
-        the first parallel request; later larger requests share it
-        (capped) rather than racing a resize.
-        """
-        with self._shared_lock:
-            if self._pool is None:
-                self._pool = WorkerPool(workers)
-            return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        with self._shared_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        """Nothing to release: worker threads belong to the shared pools.
+
+        Kept so callers can treat every executor alike; the threads a
+        parallel ``run`` uses come from
+        :func:`~repro.concurrency.pool.shared_worker_pool` and outlive
+        the executor.
+        """
 
     def run(self, queries: list[Query], policy=None) -> BatchResult:
         """Execute one batch; results align positionally with input.
@@ -262,7 +255,7 @@ class ScanGroupExecutor(BatchExecutor):
                 and len(units) > 1
                 and parallel_scans(self.engine)
             ):
-                pool = self._pool_for(policy.workers)
+                pool = shared_worker_pool(policy.workers)
                 tracer = _trace.ACTIVE
                 if tracer is not None:
                     # Bind each task so the submitting refresh's span

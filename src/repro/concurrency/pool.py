@@ -10,6 +10,17 @@ Two implementations share one surface (``submit`` returning a
   cannot differ from pre-concurrency behavior.
 - :class:`WorkerPool` wraps a :class:`~concurrent.futures.ThreadPoolExecutor`.
 
+:func:`shared_worker_pool` hands out the process's long-lived
+``WorkerPool`` for one worker count, created on first use and never
+shut down. Leaf engine work — a batch's scan-group and shard tasks, a
+sequential batch's per-query executions — runs there, so worker
+threads (and the SQLite replicas they hold) outlive the call that
+started them. The rule that keeps it deadlock-free: **only leaf engine
+work is submitted to a shared pool.** A task that itself dispatches a
+batch (a ``refresh_many`` job, a harness grid cell) would block a
+shared thread on futures queued behind it, so such tasks run on a
+per-call :func:`create_pool` pool instead.
+
 Result ordering is the caller's job; :func:`map_ordered` is the shared
 helper: submit everything, gather in submission order, and only after
 every task settled re-raise the first (submission-order) failure. The
@@ -132,6 +143,27 @@ def create_pool(workers: int) -> Pool:
     return WorkerPool(workers)
 
 
+_SHARED: dict[int, WorkerPool] = {}
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_worker_pool(workers: int) -> WorkerPool:
+    """The process's long-lived pool of exactly ``workers`` threads.
+
+    Pools are keyed by count, so a batch asking for four workers runs
+    on four threads whatever ran before it. Each is created on first
+    use and kept for the life of the process (idle threads cost
+    nothing, and the interpreter joins them at exit); callers never
+    shut it down. Submit only leaf engine work (see the module
+    docstring).
+    """
+    with _SHARED_LOCK:
+        pool = _SHARED.get(workers)
+        if pool is None:
+            pool = _SHARED[workers] = WorkerPool(workers)
+        return pool
+
+
 def map_ordered(
     pool: Pool,
     fn: Callable[[T], R],
@@ -165,4 +197,11 @@ def map_ordered(
     return results
 
 
-__all__ = ["Pool", "SerialPool", "WorkerPool", "create_pool", "map_ordered"]
+__all__ = [
+    "Pool",
+    "SerialPool",
+    "WorkerPool",
+    "create_pool",
+    "map_ordered",
+    "shared_worker_pool",
+]

@@ -20,6 +20,14 @@ Engines that are not thread-safe are gated behind their
 :func:`~repro.concurrency.policy.execution_slot`, so two concurrent
 jobs on the same pure-Python store serialize while jobs on *different*
 engines overlap — the multi-engine benchmark-grid shape.
+
+Which pool a function uses follows the leaf-only rule of
+:mod:`repro.concurrency.pool`: :func:`execute_all` submits single
+engine calls, so it runs on the long-lived
+:func:`~repro.concurrency.pool.shared_worker_pool`; :func:`run_tasks`
+(and :func:`refresh_many` through it) runs tasks that dispatch batches
+of their own, so it starts a pool per call — a job occupying a shared
+thread while it waits on shared-pool futures could deadlock.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Callable, Sequence, TypeVar
 
 from repro.engine.interface import Engine, QueryResult
 from repro.concurrency.policy import execution_slot, thread_safe
-from repro.concurrency.pool import create_pool, map_ordered
+from repro.concurrency.pool import create_pool, map_ordered, shared_worker_pool
 from repro.sql.ast import Query
 
 R = TypeVar("R")
@@ -83,7 +91,10 @@ def run_tasks(tasks: Sequence[Callable[[], R]], workers: int = 1) -> list[R]:
 
     The generic overlap primitive for independent units (benchmark grid
     cells, replay chunks). Tasks are responsible for their own engine
-    slots; :func:`refresh_many` shows the pattern.
+    slots; :func:`refresh_many` shows the pattern. The pool is this
+    call's own, not a shared one: the tasks may run batches whose leaf
+    work goes to the shared pools, and must not occupy those threads
+    while they wait on it.
     """
     pool = create_pool(workers)
     try:
@@ -99,17 +110,14 @@ def execute_all(
 
     The sequential-mode counterpart of ``execute_batch``: with
     ``workers > 1`` on a thread-safe engine, the per-query executions
-    overlap and reassemble in request order; otherwise this is a plain
-    loop. Results are byte-identical either way — the queries are
-    independent reads.
+    overlap on the shared pool of that many threads and reassemble in
+    request order; otherwise this is a plain loop. Results are
+    byte-identical either way — the queries are independent reads.
     """
     if workers <= 1 or not thread_safe(engine) or len(queries) <= 1:
         return [engine.execute_timed(q) for q in queries]
-    pool = create_pool(workers)
-    try:
-        return map_ordered(pool, engine.execute_timed, queries)
-    finally:
-        pool.shutdown()
+    pool = shared_worker_pool(workers)
+    return map_ordered(pool, engine.execute_timed, queries)
 
 
 __all__ = ["RefreshJob", "execute_all", "refresh_many", "run_tasks"]

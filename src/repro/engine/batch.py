@@ -811,8 +811,8 @@ def concat_partials(
     """
     columns: dict[str, list[object]] = {n: [] for n in column_names}
     for partial in partials:
-        for i, column in enumerate(partial.columns):
-            columns[column].extend(row[i] for row in partial.rows)
+        for column, values in zip(partial.columns, zip(*partial.rows)):
+            columns[column].extend(values)
     return Table.from_columns(name, columns)
 
 

@@ -395,8 +395,4 @@ class CachedEngine(EngineWrapper):
 
     def close(self) -> None:
         self.invalidate()
-        with self._lock:
-            executor = self._batch_executor
-        if executor is not None:
-            executor.close()  # retire the persistent worker pool
         super().close()

@@ -298,9 +298,11 @@ class Engine(abc.ABC):
           with one shared scan (:mod:`repro.engine.batch`);
           ``batch=False`` runs one engine call per query.
         - ``policy.workers > 1`` schedules independent scan groups over
-          a worker pool
-          (:class:`repro.concurrency.executor.ScanGroupExecutor`),
-          reassembling results in request order.
+          the process's shared pool of that many threads
+          (:class:`repro.concurrency.executor.ScanGroupExecutor`,
+          :func:`repro.concurrency.pool.shared_worker_pool`),
+          reassembling results in request order. The threads outlive
+          the call, so repeated batches start none.
         - ``policy.shards > 1`` partitions each shardable group's base
           scan into row-range shards — one task per (group, shard),
           merged via partial-aggregate rollup (:mod:`repro.sharding`).
@@ -329,11 +331,7 @@ class Engine(abc.ABC):
         ):
             from repro.concurrency.executor import ScanGroupExecutor
 
-            executor = ScanGroupExecutor(self, policy=policy)
-            try:
-                return executor.run(queries).results
-            finally:
-                executor.close()
+            return ScanGroupExecutor(self, policy=policy).run(queries).results
         return BatchExecutor(self, policy=policy).run(queries).results
 
     def close(self) -> None:

@@ -26,6 +26,15 @@ library releases the GIL and scan groups genuinely parallelize
 (``parallel_scans = True``). Temporary shared-scan relations are
 created on the calling thread's own connection, which is exactly the
 connection the rest of that scan group's task uses.
+
+Worker threads come from the process's long-lived shared pools
+(:func:`repro.concurrency.pool.shared_worker_pool`), so a replica is
+snapshotted once per (engine, worker thread) and then serves every
+later batch on that thread. It lives until the engine closes or is
+collected, or until a base-table load bumps the generation (it then
+re-clones on its next use). Replicas keep no statement cache: nearly
+every statement they run names a unique temp relation, so cached
+statements would never be reused, only held.
 """
 
 from __future__ import annotations
@@ -109,10 +118,12 @@ class SQLiteEngine(Engine):
         snapshot) is dropped and re-cloned. Per-thread replicas mean
         concurrent scans never contend on SQLite-side locks.
 
-        Replica lifetime is tied to the thread: the connection hangs
-        off a thread-local token whose finalizer closes it and drops it
-        from the tracking list, so short-lived pool threads (one pool
-        per batch call) cannot accumulate database copies.
+        The connection hangs off a thread-local token whose finalizer
+        closes it and drops it from the tracking list. The token dies
+        with the thread or with this engine's thread-local storage,
+        whichever goes first: the shared pools' threads live as long as
+        the process, so an engine that is collected without ``close``
+        still releases its replicas.
 
         A replica holding live temp relations (a scan group in flight
         on this thread) is *pinned*: a concurrent base-table load may
@@ -133,16 +144,17 @@ class SQLiteEngine(Engine):
             return conn
         if conn is not None:
             local.reaper()  # close + untrack the stale replica now
-        replica = sqlite3.connect(":memory:", check_same_thread=False)
+        replica = sqlite3.connect(
+            ":memory:", check_same_thread=False, cached_statements=0
+        )
         _register_functions(replica)
         with self._lock:
             self._primary.backup(replica)
             local.generation = self._generation
             self._replicas.append(replica)
         local.conn = replica
-        # The token dies with the thread (thread-local storage is the
-        # only reference), triggering the reaper even if this engine
-        # lives on long after the worker pool is gone.
+        # Thread-local storage is the token's only reference, so the
+        # reaper fires when the thread ends or the engine is collected.
         token = _ThreadToken()
         local.token = token
         local.reaper = weakref.finalize(

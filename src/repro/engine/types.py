@@ -91,28 +91,39 @@ def coerce(value: object, dtype: DataType) -> object:
     raise ValueError(f"unknown data type {dtype!r}")
 
 
+def _classify(cls: type) -> DataType:
+    """The :class:`DataType` of one non-null value's Python type.
+
+    Subclasses classify as their base (``numpy.float64`` is a float);
+    bool is tested before int and datetime before date, since each is a
+    subclass of the other.
+    """
+    if issubclass(cls, bool):
+        return DataType.BOOLEAN
+    if issubclass(cls, int):
+        return DataType.INTEGER
+    if issubclass(cls, float):
+        return DataType.FLOAT
+    if issubclass(cls, _dt.datetime):
+        return DataType.TIMESTAMP
+    if issubclass(cls, _dt.date):
+        return DataType.DATE
+    return DataType.STRING
+
+
 def infer_type(values: list[object]) -> DataType:
     """Infer the narrowest :class:`DataType` covering non-null ``values``.
 
     Used by :meth:`repro.engine.table.Table.from_rows` when no schema is
-    supplied. Falls back to STRING when values are heterogeneous.
+    supplied. Falls back to STRING when values are heterogeneous. Each
+    distinct Python type is classified once, so a long column costs one
+    C-level pass over its values.
     """
-    seen: set[DataType] = set()
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            seen.add(DataType.BOOLEAN)
-        elif isinstance(value, int):
-            seen.add(DataType.INTEGER)
-        elif isinstance(value, float):
-            seen.add(DataType.FLOAT)
-        elif isinstance(value, _dt.datetime):
-            seen.add(DataType.TIMESTAMP)
-        elif isinstance(value, _dt.date):
-            seen.add(DataType.DATE)
-        else:
-            seen.add(DataType.STRING)
+    seen = {
+        _classify(cls)
+        for cls in set(map(type, values))
+        if cls is not type(None)
+    }
     if not seen:
         return DataType.STRING
     if seen == {DataType.INTEGER}:

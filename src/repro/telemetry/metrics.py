@@ -14,7 +14,8 @@ publish into when telemetry is on:
   :class:`~repro.engine.batch.BatchStats` delta into ``batch.*``
   counters (:meth:`MetricsRegistry.record_batch`);
 - :class:`~repro.concurrency.pool.WorkerPool` sets per-worker task
-  counts as ``pool.worker_tasks`` gauges.
+  counts as ``pool.worker_tasks`` gauges (cumulative over the pool's
+  life, which for the shared pools is the process's).
 
 Like tracing (:mod:`repro.telemetry.trace`), publication is guarded by
 the module-global ``ACTIVE``: ``None`` (the default) means every site

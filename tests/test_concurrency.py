@@ -31,13 +31,14 @@ from repro.concurrency import (
     create_pool,
     map_ordered,
     refresh_many,
+    shared_worker_pool,
 )
 from repro.dashboard.library import DASHBOARD_NAMES, load_dashboard
 from repro.dashboard.state import DashboardState, InteractionKind
 from repro.engine.batch import BatchExecutor
 from repro.engine.cache import CachedEngine
 from repro.engine.instrument import CountingEngine, DispatchLatencyEngine
-from repro.engine.interface import Engine, ResultSet
+from repro.engine.interface import Engine, EngineWrapper, ResultSet
 from repro.engine.registry import create_engine
 from repro.engine.table import Table
 from repro.execution import ExecutionPolicy
@@ -453,8 +454,10 @@ def test_sqlite_owner_reads_race_worker_writes():
 
 def test_cached_engine_reuses_persistent_pool():
     """A long-lived CachedEngine must not pay thread + replica-snapshot
-    startup on every batch — the executor keeps one pool."""
-    engine = CachedEngine(create_engine("sqlite"))
+    startup on every batch: every batch runs on the same threads."""
+    sqlite = create_engine("sqlite")
+    recorder = _ThreadRecorder(sqlite)
+    engine = CachedEngine(recorder)
     engine.load_table(_events_table())
     queries = [
         parse_query(
@@ -464,16 +467,14 @@ def test_cached_engine_reuses_persistent_pool():
         for p in (1, 2, 3)
     ]
     engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
-    pool = engine._batch_executor._pool
-    assert pool is not None
+    assert recorder.threads
     for _ in range(5):
         engine.invalidate()  # force real engine work each round
         engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
-    assert engine._batch_executor._pool is pool  # same pool, same threads
+    assert len(recorder.threads) <= 3  # same threads, not new ones
     # Replicas are bounded by the pool's thread count, not call count.
-    assert len(engine.inner._replicas) <= 3
+    assert len(sqlite._replicas) <= 3
     engine.close()
-    assert engine._batch_executor._pool is None
 
 
 def test_benchmark_config_session_workers_do_not_enable_cell_overlap():
@@ -533,9 +534,8 @@ def test_sqlite_inflight_temp_survives_concurrent_base_load():
 
 
 def test_sqlite_replicas_reclaimed_with_pool_threads():
-    """Per-call worker pools retire their threads; each dead thread's
-    replica must be closed and untracked, not accumulate until
-    close()."""
+    """Replicas are per worker thread, not per call: repeated batches
+    must not accumulate database copies until close()."""
     import gc
 
     engine = create_engine("sqlite")
@@ -550,10 +550,179 @@ def test_sqlite_replicas_reclaimed_with_pool_threads():
     for _ in range(12):
         engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
     gc.collect()
-    # Live replicas are bounded by currently-live worker threads (zero
-    # here — every per-call pool has shut down).
+    # Live replicas are bounded by the shared pool's thread count.
     assert len(engine._replicas) <= 3, len(engine._replicas)
     engine.close()
+
+
+# ---------------------------------------------------------------------------
+# Long-lived worker threads: one shared pool per worker count
+# ---------------------------------------------------------------------------
+
+
+class _ThreadRecorder(EngineWrapper):
+    """Transparent wrapper noting every worker thread that calls it.
+
+    Holds the :class:`threading.Thread` objects themselves, so a thread
+    started by a later call counts as new even if the OS reuses an
+    earlier thread's ident.
+    """
+
+    def __init__(self, inner: Engine) -> None:
+        super().__init__(inner)
+        self.threads: set[threading.Thread] = set()
+
+    def _note(self) -> None:
+        thread = threading.current_thread()
+        if thread.name.startswith("repro-worker-"):
+            self.threads.add(thread)
+
+    def execute(self, query):
+        self._note()
+        return super().execute(query)
+
+    def materialize_filtered(self, name, source, predicate, row_range=None):
+        self._note()
+        return super().materialize_filtered(
+            name, source, predicate, row_range
+        )
+
+
+def _priority_queries(priorities=(1, 2, 3, 4)):
+    """One independent scan group per priority."""
+    return [
+        parse_query(
+            f"SELECT queue, COUNT(*) AS n, SUM(priority) AS s FROM events "
+            f"WHERE priority = {p} GROUP BY queue"
+        )
+        for p in priorities
+    ]
+
+
+def test_shared_worker_pool_is_one_pool_per_count():
+    assert shared_worker_pool(2) is shared_worker_pool(2)
+    assert shared_worker_pool(3) is not shared_worker_pool(2)
+    assert shared_worker_pool(3).workers == 3
+
+
+def test_bare_sqlite_batches_reuse_worker_threads_and_replicas():
+    """Repeated sharded batches on a bare engine start no thread and
+    snapshot no replica after the first."""
+    sqlite = create_engine("sqlite")
+    engine = _ThreadRecorder(sqlite)
+    engine.load_table(_events_table())
+    queries = _priority_queries()
+    sequential = [engine.execute(q) for q in queries]
+    policy = ExecutionPolicy(workers=2, shards=2)
+    for _ in range(6):
+        _assert_identical(
+            sequential, engine.execute_batch(list(queries), policy), "reuse"
+        )
+    assert 1 <= len(engine.threads) <= 2, engine.threads
+    assert len(sqlite._replicas) <= 2, len(sqlite._replicas)
+    engine.close()
+
+
+def test_sequential_replay_reuses_worker_threads():
+    """A multi-step replay under workers=2, batch=False runs every
+    step's fan-out on the same two threads."""
+    from repro.logs.records import export_session
+    from repro.logs.replay import replay_log
+    from repro.simulation.session import SessionConfig, SessionSimulator
+    from repro.simulation.workflows import get_workflow
+
+    spec = load_dashboard("customer_service")
+    table = generate_dataset("customer_service", 300, seed=5)
+    reference = create_engine("vectorstore")
+    reference.load_table(table)
+    goals = get_workflow("shneiderman").instantiate_for_dashboard(
+        spec, random.Random(5)
+    )
+    log = export_session(
+        SessionSimulator(
+            spec, table, [g.query for g in goals],
+            measured_engine=reference, reference_engine=reference,
+            config=SessionConfig(seed=5),
+        ).run()
+    )
+    assert len({entry.step for entry in log.entries}) > 2
+    sqlite = create_engine("sqlite")
+    engine = _ThreadRecorder(sqlite)
+    engine.load_table(table)
+    serial = replay_log(log, engine, policy=ExecutionPolicy.serial())
+    overlapped = replay_log(
+        log, engine, policy=ExecutionPolicy(workers=2, batch=False)
+    )
+    assert serial.matched and overlapped.matched
+    assert [r.result for r in serial.results] == [
+        r.result for r in overlapped.results
+    ]
+    assert 1 <= len(engine.threads) <= 2, engine.threads
+    assert len(sqlite._replicas) <= 2, len(sqlite._replicas)
+    engine.close()
+    reference.close()
+
+
+def test_refresh_many_nests_sharded_batches_without_deadlock():
+    """refresh_many's jobs dispatch their own parallel batches: the jobs
+    run on a per-call pool, their leaf work on the shared one, so
+    nesting completes and matches the jobs run one after another."""
+    policy = ExecutionPolicy(workers=2, shards=2)
+    jobs = []
+    for name in DASHBOARD_NAMES[:4]:
+        table = generate_dataset(name, 300, seed=11)
+        engine = create_engine("sqlite")
+        engine.load_table(table)
+        state = DashboardState(load_dashboard(name), table)
+        jobs.append(RefreshJob(state, engine, policy=policy))
+    serial = refresh_many(jobs, workers=1)
+    outcome: dict[str, object] = {}
+
+    def nested():
+        outcome["results"] = refresh_many(jobs, workers=2)
+
+    thread = threading.Thread(target=nested, daemon=True)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive(), "refresh_many deadlocked"
+    for seq, conc in zip(serial, outcome["results"]):
+        assert seq.keys() == conc.keys()
+        for viz_id in seq:
+            assert seq[viz_id].result == conc[viz_id].result, viz_id
+    for job in jobs:
+        job.engine.close()
+
+
+def test_cached_engine_later_batch_gets_its_own_worker_count():
+    """A workers=4 batch after a workers=2 batch runs on four threads,
+    not on the first batch's two."""
+    recorder = _ThreadRecorder(
+        DispatchLatencyEngine(create_engine("vectorstore"), latency_ms=20.0)
+    )
+    engine = CachedEngine(recorder)
+    engine.load_table(_events_table())
+    queries = _priority_queries()
+    engine.execute_batch(list(queries), ExecutionPolicy(workers=2))
+    engine.invalidate()
+    recorder.threads.clear()
+    engine.execute_batch(list(queries), ExecutionPolicy(workers=4))
+    assert len(recorder.threads) == 4, recorder.threads
+    engine.close()
+
+
+def test_sqlite_replicas_released_with_engine():
+    """Shared threads outlive every engine, so an engine collected
+    without close() must still close its replicas."""
+    import gc
+
+    engine = create_engine("sqlite")
+    engine.load_table(_events_table())
+    engine.execute_batch(_priority_queries(), ExecutionPolicy(workers=2))
+    replicas = engine._replicas
+    assert replicas
+    del engine
+    gc.collect()
+    assert replicas == []
 
 
 # ---------------------------------------------------------------------------

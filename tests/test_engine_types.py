@@ -2,7 +2,10 @@
 
 import datetime as dt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.types import DataType, coerce, infer_type, sort_key
 
@@ -107,6 +110,85 @@ class TestInferType:
 
     def test_mixed_defaults_to_string(self):
         assert infer_type([1, "a"]) is DataType.STRING
+
+
+def _infer_per_value(values):
+    """Reference: the per-value isinstance chain ``infer_type`` replaced."""
+    seen = set()
+    for value in values:
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            seen.add(DataType.BOOLEAN)
+        elif isinstance(value, int):
+            seen.add(DataType.INTEGER)
+        elif isinstance(value, float):
+            seen.add(DataType.FLOAT)
+        elif isinstance(value, dt.datetime):
+            seen.add(DataType.TIMESTAMP)
+        elif isinstance(value, dt.date):
+            seen.add(DataType.DATE)
+        else:
+            seen.add(DataType.STRING)
+    if not seen:
+        return DataType.STRING
+    if seen == {DataType.INTEGER}:
+        return DataType.INTEGER
+    if seen <= {DataType.INTEGER, DataType.FLOAT}:
+        return DataType.FLOAT
+    if seen == {DataType.BOOLEAN}:
+        return DataType.BOOLEAN
+    if seen == {DataType.DATE}:
+        return DataType.DATE
+    if seen <= {DataType.DATE, DataType.TIMESTAMP}:
+        return DataType.TIMESTAMP
+    if len(seen) == 1:
+        return seen.pop()
+    return DataType.STRING
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.dates(),
+    st.datetimes(),
+    st.text(max_size=3),
+)
+
+
+class TestInferTypeMatchesPerValueChain:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_CELLS, max_size=12))
+    def test_random_columns(self, values):
+        assert infer_type(values) is _infer_per_value(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [None, None],
+            [True, None, False],
+            [1, 2, None],
+            [1.5, None],
+            [np.float64(1.5), np.float64(2.0)],
+            [1, np.float64(2.5)],
+            [True, 1],
+            [dt.date(2024, 1, 1)],
+            [dt.datetime(2024, 1, 1, 9)],
+            [dt.date(2024, 1, 1), dt.datetime(2024, 1, 1, 9)],
+            ["a", None],
+            [1, "a", dt.date(2024, 1, 1)],
+            [np.int64(3)],
+        ],
+    )
+    def test_each_class(self, values):
+        assert infer_type(values) is _infer_per_value(values)
+
+    def test_float_subclass_is_float(self):
+        assert infer_type([np.float64(0.25), 1]) is DataType.FLOAT
 
 
 class TestSortKey:

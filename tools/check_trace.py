@@ -13,7 +13,10 @@ temp file, and validates the whole chain:
   Chrome trace-event JSON);
 - shard spans nest under scan groups that nest under refresh spans —
   the cross-thread parentage the tracer exists to preserve;
-- every replayed query is attributed to exactly one tier.
+- every replayed query is attributed to exactly one tier;
+- a second replay on the same engine starts no ``repro-worker-*``
+  thread and snapshots no new SQLite replica (worker threads come from
+  the long-lived shared pool).
 
 Run it the way CI does::
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -82,9 +86,27 @@ def main() -> int:
     telemetry = Telemetry()
     with telemetry.install():
         log = session.replay(spec, table, engine, policy=POLICY)
-    engine.close()
 
     failures: list[str] = []
+    # Thread reuse: replaying the session again on the same engine runs
+    # on the shared pool's existing threads and their replicas.
+    replicas = list(engine._replicas)
+    started = _threads_started_during(
+        lambda: session.replay(spec, table, engine, policy=POLICY)
+    )
+    workers = sorted(
+        t.name for t in started if t.name.startswith("repro-worker-")
+    )
+    if workers:
+        failures.append(f"second replay started worker threads {workers!r}")
+    known = {id(replica) for replica in replicas}  # all held alive above
+    added = [r for r in engine._replicas if id(r) not in known]
+    if added:
+        failures.append(
+            f"second replay snapshotted {len(added)} new SQLite replicas"
+        )
+    engine.close()
+
     spans = telemetry.tracer.spans()
     failures += validate_spans(spans)
 
@@ -161,6 +183,27 @@ def main() -> int:
         return 1
     print("check_trace: trace schema + nesting OK")
     return 0
+
+
+def _threads_started_during(fn) -> list[threading.Thread]:
+    """Every thread started while ``fn`` runs, even if it has ended.
+
+    A thread-start hook records each new thread on its first call and
+    uninstalls itself there. Names are read from the Thread objects
+    afterwards, so a pool thread shows the name its initializer set.
+    """
+    started: list[threading.Thread] = []
+
+    def hook(frame, event, arg):
+        started.append(threading.current_thread())
+        sys.setprofile(None)
+
+    threading.setprofile(hook)
+    try:
+        fn()
+    finally:
+        threading.setprofile(None)
+    return started
 
 
 def sorted_tier_counts(tiers: dict) -> list[tuple[str, int]]:
