@@ -48,15 +48,15 @@ ROWS = int(os.environ.get("SIMBA_EXAMPLE_ROWS", "8000"))
 DASHBOARD = "customer_service"
 
 
-def show_decomposition(queries) -> None:
+def show_decomposition(queries, schema) -> None:
     """Print the combined pass and one chart's merge query."""
     group = group_queries(list(queries))[0]
     classes = [
         cls
         for cls in fuse_members(group.members)
-        if eligible_plan(cls.merged_query()) is not None
+        if eligible_plan(cls.merged_query(), schema) is not None
     ]
-    plan = build_multiplan([cls.merged_query() for cls in classes])
+    plan = build_multiplan([cls.merged_query() for cls in classes], schema)
     print(f"The cold render's {len(queries)} chart queries fuse into "
           f"{len(classes)} group-by shapes; all of them fold into one pass:")
     print(f"  {format_query(plan.combined_query(group.signature.table))}")
@@ -95,7 +95,7 @@ def main() -> None:
     # The cold render: every chart's query, no filters applied yet.
     queries = state.initial_queries()
 
-    show_decomposition(queries)
+    show_decomposition(queries, table.schema)
 
     print(f"Instrumented cold render of {DASHBOARD!r} on sqlite, "
           f"{ROWS} rows:")

@@ -1,4 +1,4 @@
-"""Sharded dashboard refreshes: per-shard scans + partial-agg rollup.
+"""Sharded dashboard refreshes: per-shard scans + partial-aggregate merge.
 
 The sharded executor (:mod:`repro.sharding`) splits each shardable
 scan group's base scan into contiguous row-range shards — one task per
@@ -8,12 +8,13 @@ engine into results byte-identical to unsharded execution.
 
 This walkthrough shows all three pieces on a live dashboard:
 
-1. the rollup itself — the partial and merge SQL for an AVG measure;
+1. the decomposition itself — the partial and merge SQL for an AVG
+   measure;
 2. an instrumented refresh at ``shards ∈ {1, 4}`` — per-shard scan
    counts measured at the engine boundary;
 3. the identity check — sharded and unsharded results match (for this
    dataset's arbitrary-decimal floats, to IEEE-754 rounding: the
-   rollup re-associates float addition; integer and dyadic data match
+   merge re-associates float addition; integer and dyadic data match
    bit-for-bit, as the property tests in ``tests/test_sharding.py``
    pin down).
 
@@ -31,8 +32,9 @@ from repro.concurrency import ScanGroupExecutor
 from repro.execution import ExecutionPolicy
 from repro.dashboard.library import load_dashboard
 from repro.dashboard.state import DashboardState, InteractionKind
-from repro.engine.batch import build_rollup, group_queries
+from repro.engine.batch import group_queries
 from repro.engine.instrument import CountingEngine
+from repro.engine.multiplan import build_multiplan
 from repro.engine.registry import create_engine
 from repro.sql.formatter import format_query
 from repro.workload.datasets import generate_dataset
@@ -42,18 +44,18 @@ SHARDS = 4
 WORKERS = 4
 
 
-def show_rollup(queries) -> None:
+def show_decomposition(queries, schema) -> None:
     """Print the partial/merge decomposition of one AVG query."""
     avg_query = next(
         q for q in queries if "AVG(" in format_query(q)
     )
-    rollup = build_rollup(avg_query)
+    plan = build_multiplan([avg_query], schema)
     print("One visualization's query:")
     print(f"  {format_query(avg_query)}")
     print("decomposes for sharding into a per-shard partial query")
-    print(f"  {format_query(rollup.partial_query('<shard_temp>', avg_query.from_table.name))}")
+    print(f"  {format_query(plan.partial_query('<shard_temp>', avg_query.from_table.name))}")
     print("and one merge over the concatenated per-shard partials:")
-    print(f"  {format_query(rollup.merge_query('<partials>'))}")
+    print(f"  {format_query(plan.plans[0].merge_query('<partials>'))}")
     print()
 
 
@@ -98,7 +100,7 @@ def main() -> None:
         state.apply(action)
     queries = [state.query_for(v) for v in sorted(state.visualizations)]
 
-    show_rollup(queries)
+    show_decomposition(queries, table.schema)
 
     groups = group_queries(list(queries))
     print(
@@ -110,7 +112,7 @@ def main() -> None:
     sharded = instrumented_refresh(state, queries, shards=SHARDS)
 
     # This dataset's measures are arbitrary decimals, so sharded
-    # SUM/AVG agree with unsharded to IEEE-754 rounding (the rollup
+    # SUM/AVG agree with unsharded to IEEE-754 rounding (the merge
     # re-associates float addition; integer and dyadic data match
     # bit-for-bit — see docs/ARCHITECTURE.md). Structure, ordering,
     # and counts must match exactly.

@@ -11,10 +11,10 @@ Every result stays byte-identical to sequential execution.
 Layers, bottom up:
 
 - :mod:`repro.concurrency.pool` — the worker pool. ``workers=1``
-  resolves to an inline :class:`~repro.concurrency.pool.SerialPool`, so
-  the default path is *exactly* the sequential execution (no threads,
-  no queues). Batches run on the process-wide pool for their worker
-  count (:func:`~repro.concurrency.pool.shared_worker_pool`), so their
+  creates no pool at all, so the default path is *exactly* the
+  sequential execution (no threads, no queues). Batches run on the
+  process-wide pool for their worker count
+  (:func:`~repro.concurrency.pool.shared_worker_pool`), so their
   threads outlive the call.
 - :mod:`repro.concurrency.policy` — per-engine execution policies.
   SQLite executes scan groups with true thread parallelism (per-thread
@@ -52,9 +52,7 @@ pinned while a task's temp relations are live.
 
 from repro.concurrency.executor import ScanGroupExecutor
 from repro.concurrency.pool import (
-    SerialPool,
     WorkerPool,
-    create_pool,
     map_ordered,
     shared_worker_pool,
 )
@@ -83,11 +81,9 @@ __all__ = [
     "ProcessShardPool",
     "RefreshJob",
     "ScanGroupExecutor",
-    "SerialPool",
     "SingleFlight",
     "SlotGatedEngine",
     "WorkerPool",
-    "create_pool",
     "execute_all",
     "execution_slot",
     "map_ordered",

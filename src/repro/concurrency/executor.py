@@ -48,7 +48,7 @@ Thread-safety contract (what PR 2 established, spelled out):
   deadlocks against the cache's single-flight: one thread waits on a
   flight while holding the slot its leader needs). Interleaving leaf
   calls across groups and shards is safe because shared-scan and
-  partial-rollup temp relations carry unique per-execution names.
+  partial-aggregate temp relations carry unique per-execution names.
 - **Single-flight.** An optional
   :class:`~repro.concurrency.singleflight.SingleFlight` collapses
   concurrent *identical* groups (same table, same predicate, same
@@ -78,7 +78,6 @@ Thread-safety contract (what PR 2 established, spelled out):
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable
 
@@ -146,9 +145,6 @@ class ScanGroupExecutor(BatchExecutor):
         #: does NOT own and never shuts down). Tests inject a fresh
         #: pool here to isolate fault-injection blast radius.
         self._proc_pool = proc_pool
-        # Guards grouping over BatchExecutor's shared key memo for
-        # concurrent run() calls.
-        self._shared_lock = threading.Lock()
 
     def close(self) -> None:
         """Nothing to release: worker threads belong to the shared pools.
@@ -205,8 +201,7 @@ class ScanGroupExecutor(BatchExecutor):
             partitioner = Partitioner(policy.shards)
         stats = BatchStats(queries=len(queries))
         results: list[QueryResult | None] = [None] * len(queries)
-        with self._shared_lock:  # the key memo is shared mutable state
-            groups = group_queries(list(queries), key_fn=self._memoized_keys)
+        groups = group_queries(list(queries), key_fn=self._memoized_keys)
         stats.groups = len(groups)
         units: list[Callable[[], BatchStats]] = []
         runs = []  # sharded runs, merged in group order

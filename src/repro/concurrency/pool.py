@@ -1,14 +1,9 @@
-"""Worker pools with a sequential degenerate case.
+"""Worker pools: long-lived shared ones, and per-call ones.
 
-Two implementations share one surface (``submit`` returning a
-:class:`concurrent.futures.Future`, plus ``shutdown``):
-
-- :class:`SerialPool` executes the task inline at submit time and
-  returns an already-resolved future. ``workers=1`` everywhere in the
-  system resolves to this pool, so the default configuration runs the
-  exact sequential code path — no threads are created, and interleaving
-  cannot differ from pre-concurrency behavior.
-- :class:`WorkerPool` wraps a :class:`~concurrent.futures.ThreadPoolExecutor`.
+:class:`WorkerPool` wraps a :class:`~concurrent.futures.ThreadPoolExecutor`.
+``workers=1`` everywhere in the system creates no pool at all — the
+callers run their units in a plain loop — so the default configuration
+runs the exact sequential code path.
 
 :func:`shared_worker_pool` hands out the process's long-lived
 ``WorkerPool`` for one worker count, created on first use and never
@@ -19,7 +14,7 @@ started them. The rule that keeps it deadlock-free: **only leaf engine
 work is submitted to a shared pool.** A task that itself dispatches a
 batch (a ``refresh_many`` job, a harness grid cell) would block a
 shared thread on futures queued behind it, so such tasks run on a
-per-call :func:`create_pool` pool instead.
+per-call ``WorkerPool`` instead.
 
 Result ordering is the caller's job; :func:`map_ordered` is the shared
 helper: submit everything, gather in submission order, and only after
@@ -40,33 +35,6 @@ from repro.telemetry import metrics as _metrics
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-class SerialPool:
-    """Inline 'pool': submit executes immediately on the calling thread."""
-
-    workers = 1
-
-    def submit(self, fn: Callable[..., R], /, *args, **kwargs) -> "Future[R]":
-        future: "Future[R]" = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except (KeyboardInterrupt, SystemExit):
-            # Inline execution runs on the caller's thread: aborting
-            # must abort *now*, not after the rest of the task list.
-            raise
-        except BaseException as exc:  # resolved future carries the error
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Nothing to release."""
-
-    def __enter__(self) -> "SerialPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
 
 class WorkerPool:
@@ -132,17 +100,6 @@ class WorkerPool:
         self.shutdown()
 
 
-#: Either pool flavor; they are duck-typed rather than subclassed.
-Pool = SerialPool | WorkerPool
-
-
-def create_pool(workers: int) -> Pool:
-    """SerialPool for ``workers <= 1``, WorkerPool otherwise."""
-    if workers <= 1:
-        return SerialPool()
-    return WorkerPool(workers)
-
-
 _SHARED: dict[int, WorkerPool] = {}
 _SHARED_LOCK = threading.Lock()
 
@@ -165,23 +122,17 @@ def shared_worker_pool(workers: int) -> WorkerPool:
 
 
 def map_ordered(
-    pool: Pool,
+    pool: WorkerPool,
     fn: Callable[[T], R],
     items: Iterable[T],
 ) -> list[R]:
     """Apply ``fn`` over ``items`` on the pool; results in input order.
 
-    With a :class:`SerialPool` this is a plain loop — an exception
-    aborts at the failing item, exactly the pre-pool sequential
-    behavior (no point draining a task list that already failed).
-
-    On a :class:`WorkerPool`, all futures settle before anything is
-    raised, so a failing task can never leave siblings running against
-    shared state; the first failure *by submission order* then
-    propagates (deterministic regardless of completion order).
+    All futures settle before anything is raised, so a failing task can
+    never leave siblings running against shared state; the first
+    failure *by submission order* then propagates (deterministic
+    regardless of completion order).
     """
-    if isinstance(pool, SerialPool):
-        return [fn(item) for item in items]
     futures: Sequence[Future] = [pool.submit(fn, item) for item in items]
     results: list[R] = []
     first_error: BaseException | None = None
@@ -198,10 +149,7 @@ def map_ordered(
 
 
 __all__ = [
-    "Pool",
-    "SerialPool",
     "WorkerPool",
-    "create_pool",
     "map_ordered",
     "shared_worker_pool",
 ]

@@ -13,8 +13,8 @@ overlaps *between* independent units of work:
   the engine tolerates it, sequential otherwise.
 
 Every function takes ``workers`` and degrades to today's sequential
-behavior at ``workers=1`` (inline :class:`~repro.concurrency.pool.SerialPool`,
-no threads). Results always come back in request order.
+behavior at ``workers=1`` (a plain loop, no threads). Results always
+come back in request order.
 
 Engines that are not thread-safe are gated behind their
 :func:`~repro.concurrency.policy.execution_slot`, so two concurrent
@@ -37,7 +37,7 @@ from typing import Callable, Sequence, TypeVar
 
 from repro.engine.interface import Engine, QueryResult
 from repro.concurrency.policy import execution_slot, thread_safe
-from repro.concurrency.pool import create_pool, map_ordered, shared_worker_pool
+from repro.concurrency.pool import WorkerPool, map_ordered, shared_worker_pool
 from repro.sql.ast import Query
 
 R = TypeVar("R")
@@ -91,12 +91,15 @@ def run_tasks(tasks: Sequence[Callable[[], R]], workers: int = 1) -> list[R]:
 
     The generic overlap primitive for independent units (benchmark grid
     cells, replay chunks). Tasks are responsible for their own engine
-    slots; :func:`refresh_many` shows the pattern. The pool is this
-    call's own, not a shared one: the tasks may run batches whose leaf
-    work goes to the shared pools, and must not occupy those threads
-    while they wait on it.
+    slots; :func:`refresh_many` shows the pattern. At ``workers <= 1``
+    the tasks run in a plain loop that stops at the first failure.
+    Otherwise the pool is this call's own, not a shared one: the tasks
+    may run batches whose leaf work goes to the shared pools, and must
+    not occupy those threads while they wait on it.
     """
-    pool = create_pool(workers)
+    if workers <= 1:
+        return [task() for task in tasks]
+    pool = WorkerPool(workers)
     try:
         return map_ordered(pool, lambda task: task(), tasks)
     finally:

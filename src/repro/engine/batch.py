@@ -27,15 +27,10 @@ module merges a refresh into a handful of shared scans:
    a single pass: one combined query GROUPs BY the union of all key
    expressions with decomposed aggregates, then one small merge query
    per class derives its exact result from the combined rows. Off by
-   default, like every optimizer tier here.
-
-5. **Partial-aggregate rollup.** For sharded execution
-   (:mod:`repro.sharding`), :func:`build_rollup` decomposes a fused
-   aggregate query into a *partial* query (AVG becomes SUM + COUNT;
-   COUNT/SUM/MIN/MAX pass through) that runs once per table shard, and
-   a *merge* query that re-aggregates the per-shard partial rows into
-   the final result — COUNT and SUM partials merge with SUM, MIN/MAX
-   with themselves, AVG as ``SUM(sums) * 1.0 / SUM(counts)``.
+   default, like every optimizer tier here. The same module plans the
+   per-shard partials of sharded execution (:mod:`repro.sharding`) and
+   states the exactness and ordering argument every partial/merge
+   path relies on.
 
 Correctness needs no engine cooperation beyond determinism: every
 member query is still *executed by the engine itself*, merely over a
@@ -55,11 +50,9 @@ an executor shared across threads corrupts neither (the *engine* it
 drives must still tolerate the calls; see
 :attr:`~repro.engine.interface.Engine.thread_safe`). The concurrent
 subclass (:class:`~repro.concurrency.executor.ScanGroupExecutor`)
-retains its own coarser locking around grouping and stats merges —
-redundant with this class's guard, and harmless — serializes every
-call into a non-thread-safe engine through that engine's per-instance
-:func:`~repro.concurrency.policy.execution_slot`, and relies on three
-invariants this module maintains:
+serializes every call into a non-thread-safe engine through that
+engine's per-instance :func:`~repro.concurrency.policy.execution_slot`,
+and relies on three invariants this module maintains:
 
 - **Unique temp names** (:func:`unique_temp_name`): two executions of
   the same (table, filter) group overlapping on one engine can never
@@ -85,31 +78,17 @@ from dataclasses import dataclass
 
 from repro.engine.interface import Engine, QueryResult, ResultSet
 from repro.engine.planner import (
-    AGG_PREFIX,
-    KEY_PREFIX,
-    AggregatePlan,
     ScanSignature,
     fusion_signature,
-    plan_query,
     scan_signature,
 )
 from repro.engine.table import Schema, Table
 from repro.errors import ExecutionError
 from repro.sql.ast import (
-    Between,
-    BinaryOp,
-    Column,
-    Expression,
-    FuncCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
     Query,
     SelectItem,
     Star,
     TableRef,
-    UnaryOp,
     replace_query,
 )
 from repro.sql.formatter import format_query
@@ -677,309 +656,13 @@ def _materialize(name: str, schema: Schema, fetched: ResultSet) -> Table:
     return Table(name, schema, columns)
 
 
-# ---------------------------------------------------------------------------
-# Partial-aggregate rollup (sharded execution support)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AggregateRollup:
-    """Two-level execution plan for one fused aggregate query.
-
-    The *partial* query runs once per table shard over that shard's
-    filtered rows and computes decomposed aggregates (AVG as SUM +
-    COUNT). The per-shard partial rows are then concatenated — in shard
-    order, which preserves first-occurrence order — into a temporary
-    relation, and the *merge* query re-aggregates them on the engine
-    itself, so group ordering, value types, and output naming are the
-    engine's own, exactly as in unsharded execution.
-
-    Exactness boundary: merging re-associates floating-point addition
-    (per-shard sums are rounded before the final SUM), so SUM/AVG over
-    FLOAT columns are byte-identical only when every partial sum is
-    exactly representable — always true for INTEGER/BOOLEAN columns and
-    for dyadic-rational floats; for arbitrary floats, results agree to
-    IEEE-754 rounding (equal after
-    :func:`~repro.engine.interface.normalize_value`). COUNT/MIN/MAX are
-    exact for every type.
-    """
-
-    #: SELECT list of the per-shard query: group keys first, then the
-    #: decomposed aggregate pieces, every item aliased.
-    partial_select: tuple[SelectItem, ...]
-    #: GROUP BY of the per-shard query (the original key expressions).
-    partial_group_by: tuple[Expression, ...]
-    #: SELECT list of the final query over the partial relation: the
-    #: original post-aggregation expressions with each aggregate call
-    #: replaced by its merge expression, aliased to the original output
-    #: names.
-    merge_select: tuple[SelectItem, ...]
-    #: GROUP BY of the final query (the partial key columns).
-    merge_group_by: tuple[Expression, ...]
-    #: Column names of the partial relation, in partial_select order.
-    partial_names: tuple[str, ...]
-    #: Output column names of the final result.
-    output_names: tuple[str, ...]
-
-    def partial_query(self, relation: str, base_table: str) -> Query:
-        """The per-shard query over one shard's filtered relation.
-
-        The shard temp is aliased back to the base table name so
-        table-qualified column references keep resolving, exactly like
-        the shared-scan rewrite.
-        """
-        return Query(
-            select=self.partial_select,
-            from_table=TableRef(relation, alias=base_table),
-            group_by=self.partial_group_by,
-        )
-
-    def merge_query(self, relation: str) -> Query:
-        """The final re-aggregation over the concatenated partials."""
-        return Query(
-            select=self.merge_select,
-            from_table=TableRef(relation),
-            group_by=self.merge_group_by,
-        )
-
-    def partial_table(self, name: str, partials: list[ResultSet]) -> Table:
-        """The merge input: every shard's partial rows, in shard order."""
-        return concat_partials(name, self.partial_names, partials)
-
-    @property
-    def is_global(self) -> bool:
-        """True for aggregates without GROUP BY (one output row)."""
-        return not self.merge_group_by
-
-    def empty_result(self) -> ResultSet:
-        """The result of a grouped rollup with zero qualifying rows."""
-        return ResultSet(list(self.output_names), [])
-
-
-def eligible_plan(query: Query) -> "AggregatePlan | None":
-    """The query's aggregate plan when its aggregates can decompose.
-
-    The single eligibility gate for both partial-aggregate consumers —
-    the sharded rollup (:func:`build_rollup`) and the multi-plan
-    evaluator (:mod:`repro.engine.multiplan`) — so the two paths can
-    never disagree about what is decomposable. ``None`` marks queries
-    whose aggregates cannot be re-aggregated from partials:
-    non-aggregates (projections concatenate instead), HAVING / ORDER
-    BY / LIMIT / DISTINCT (they change row sets or ordering in ways
-    that do not commute with re-aggregation), DISTINCT aggregates
-    (distinct sets overlap across partitions), joins, and select items
-    whose output name is engine-dependent (the merge queries rebuild
-    names from aliases, which must match what the engine would have
-    produced — the same naming restriction
-    :func:`~repro.engine.planner.fusion_signature` applies).
-    """
-    if (
-        query.joins
-        or query.having is not None
-        or query.order_by
-        or query.limit is not None
-        or query.distinct
-        or not query.is_aggregate
-    ):
-        return None
-    for item in query.select:
-        if isinstance(item.expr, Star):
-            return None
-        if item.alias is None and not isinstance(item.expr, Column):
-            return None  # engine-dependent output name; cannot rebuild
-    try:
-        plan = plan_query(query)
-    except ExecutionError:
-        return None
-    assert isinstance(plan, AggregatePlan)
-    for call in plan.agg_calls:
-        if call.distinct:
-            return None
-    return plan
-
-
-def concat_partials(
-    name: str, column_names: tuple[str, ...], partials: list[ResultSet]
-) -> Table:
-    """The merge input: every partial's rows concatenated, in order.
-
-    One partial for a combined single pass; one per shard — in shard
-    order, which preserves first-occurrence order — for sharded
-    execution. Shared by :class:`AggregateRollup` and
-    :class:`~repro.engine.multiplan.MultiPlan` so the relation both
-    merge paths aggregate over is built by the same code.
-    """
-    columns: dict[str, list[object]] = {n: [] for n in column_names}
-    for partial in partials:
-        for column, values in zip(partial.columns, zip(*partial.rows)):
-            columns[column].extend(values)
-    return Table.from_columns(name, columns)
-
-
-def decompose_aggregate(
-    call: FuncCall, stem: str
-) -> tuple[list[SelectItem], list[str], Expression] | None:
-    """The mergeable decomposition of one aggregate call.
-
-    Returns ``(pieces, names, merge_expr)``: the partial SELECT items
-    computing the call's decomposed pieces (columns named from
-    ``stem``), their names, and the expression that re-aggregates the
-    pieces back into the call's value. This is the single home of the
-    merge algebra — the sharded rollup (:func:`build_rollup`) and the
-    multi-plan evaluator (:mod:`repro.engine.multiplan`) both build on
-    it, so the two paths cannot drift apart. ``None`` for functions
-    outside the aggregate vocabulary.
-    """
-    if call.name == "AVG":
-        sum_name = f"{stem}_sum"
-        count_name = f"{stem}_count"
-        # ``* 1.0`` forces float division on engines with integer
-        # ``/`` (SQLite); SQL NULL propagation makes the all-empty
-        # case come out NULL, matching AVG over zero rows.
-        merged: Expression = BinaryOp(
-            "/",
-            BinaryOp(
-                "*",
-                FuncCall("SUM", (Column(sum_name),)),
-                Literal(1.0),
-            ),
-            FuncCall("SUM", (Column(count_name),)),
-        )
-        return (
-            [
-                SelectItem(FuncCall("SUM", call.args), sum_name),
-                SelectItem(FuncCall("COUNT", call.args), count_name),
-            ],
-            [sum_name, count_name],
-            merged,
-        )
-    if call.name in ("COUNT", "SUM"):
-        # COUNT partials are never NULL, so SUM-of-counts is the total
-        # count; SUM partials skip NULLs partition-locally and SUM of
-        # the partials skips all-NULL partitions — both match the
-        # one-pass semantics exactly.
-        return [SelectItem(call, stem)], [stem], FuncCall(
-            "SUM", (Column(stem),)
-        )
-    if call.name in ("MIN", "MAX"):
-        return [SelectItem(call, stem)], [stem], FuncCall(
-            call.name, (Column(stem),)
-        )
-    return None
-
-
-def build_rollup(query: Query) -> AggregateRollup | None:
-    """The partial/merge decomposition of ``query``, or ``None``.
-
-    ``None`` marks queries that cannot roll up from per-shard partials
-    — everything :func:`eligible_plan` rejects, plus colliding partial
-    column names.
-    """
-    plan = eligible_plan(query)
-    if plan is None:
-        return None
-
-    # Partial key columns carry the *original* output name where the
-    # key is selected — the SQLite wrapper restores temporal/boolean
-    # types by looking output columns up in the relation's schema, so a
-    # date-typed group key must keep its name through the partial
-    # relation. Unselected keys get positional internal names.
-    key_names: list[str] = []
-    for i, key in enumerate(plan.key_exprs):
-        name = f"__key{i}"
-        for position, item in enumerate(query.select):
-            if item.expr == key:
-                name = item.output_name(position)
-                break
-        key_names.append(name)
-
-    partial_select: list[SelectItem] = [
-        SelectItem(key, key_names[i])
-        for i, key in enumerate(plan.key_exprs)
-    ]
-    partial_names = list(key_names)
-    substitutions: dict[str, Expression] = {
-        f"{KEY_PREFIX}{i}": Column(key_names[i])
-        for i in range(len(plan.key_exprs))
-    }
-    for j, call in enumerate(plan.agg_calls):
-        decomposed = decompose_aggregate(call, f"__part{j}")
-        if decomposed is None:  # pragma: no cover - exhaustive vocabulary
-            return None
-        pieces, names, merged = decomposed
-        partial_select += pieces
-        partial_names += names
-        substitutions[f"{AGG_PREFIX}{j}"] = merged
-    if len(set(partial_names)) != len(partial_names):
-        return None  # colliding output names; cannot build the relation
-
-    merge_select = tuple(
-        SelectItem(
-            _substitute(expr, substitutions),
-            query.select[position].output_name(position),
-        )
-        for position, expr in enumerate(plan.item_exprs)
-    )
-    return AggregateRollup(
-        partial_select=tuple(partial_select),
-        partial_group_by=tuple(plan.key_exprs),
-        merge_select=merge_select,
-        merge_group_by=tuple(Column(n) for n in key_names),
-        partial_names=tuple(partial_names),
-        output_names=tuple(query.output_names()),
-    )
-
-
-def _substitute(expr: Expression, mapping: dict[str, Expression]) -> Expression:
-    """Replace placeholder columns by name throughout an expression."""
-    if isinstance(expr, Column):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _substitute(expr.left, mapping),
-            _substitute(expr.right, mapping),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _substitute(expr.operand, mapping))
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(_substitute(a, mapping) for a in expr.args),
-            expr.distinct,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _substitute(expr.expr, mapping),
-            tuple(_substitute(v, mapping) for v in expr.values),
-            expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            _substitute(expr.expr, mapping),
-            _substitute(expr.low, mapping),
-            _substitute(expr.high, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, Like):
-        return Like(_substitute(expr.expr, mapping), expr.pattern, expr.negated)
-    if isinstance(expr, IsNull):
-        return IsNull(_substitute(expr.expr, mapping), expr.negated)
-    return expr  # Literals and Star pass through.
-
-
 __all__ = [
-    "AggregateRollup",
     "BatchExecutor",
     "BatchItem",
     "BatchResult",
     "BatchStats",
     "ScanGroup",
     "TEMP_PREFIX",
-    "build_rollup",
-    "concat_partials",
-    "decompose_aggregate",
-    "eligible_plan",
     "fuse_members",
     "group_queries",
     "temp_table_name",

@@ -1,61 +1,73 @@
-"""Single-pass multi-plan evaluation of one scan group (grouping sets).
+"""Partial/merge plans for grouped aggregates (grouping sets).
 
-The shared-scan optimizer (:mod:`repro.engine.batch`) already collapses
-a dashboard refresh into one base scan per *fusion class* — queries
-with identical GROUP BY keys merge into one execution. The initial
-render is the degenerate case that layer cannot help: no WHERE clause,
-so there is no filter to share, and every visualization groups by a
-different key — N fusion classes, N full-table scans. This module
-removes that last N with the classic grouping-sets decomposition:
+Every optimizer tier that splits an aggregate into mergeable partials
+plans it here, and only here: :func:`build_multiplan` turns the merged
+queries of one or more fusion classes sharing one scan into a
+:class:`MultiPlan` — one *combined* partial query plus one *merge*
+query per class. The tiers differ only in where the partial runs:
 
-1. **Combined pass.** One engine query computes the *finest* grouping —
-   GROUP BY the union of every plan's key expressions — with every
-   requested aggregate decomposed into mergeable pieces (AVG becomes
-   SUM + COUNT; COUNT/SUM/MIN/MAX pass through). One scan of the data,
-   whatever the engine: SQLite evaluates a single grouped SELECT (its
-   one-pass sorter/accumulator — grouping-set emulation without the
-   syntax), and each pure-Python store makes a single column/row
-   traversal feeding one accumulator map keyed by the combined keys.
-2. **Per-plan merge.** The finest partial rows load as a temporary
-   relation (``TEMP_PREFIX``-named, cache-exempt) and each plan's
-   result is derived by one *merge* query over it — re-aggregating the
-   plan's own key subset with the rollup merge algebra COUNT/SUM
-   partials via SUM, MIN/MAX via themselves, AVG as
-   ``SUM(sums) * 1.0 / SUM(counts)``. The merge runs *on the engine*,
-   so arithmetic promotion, NULL handling, group ordering, and output
-   naming are the engine's own.
+1. **Multi-plan pass** (``multiplan=True``). The shared-scan optimizer
+   (:mod:`repro.engine.batch`) collapses a dashboard refresh into one
+   base scan per *fusion class*, but the initial render has no WHERE
+   clause to share and every visualization groups by a different key —
+   N fusion classes, N full-table scans. :func:`run_multiplan` removes
+   that last N: one engine query computes the *finest* grouping — GROUP
+   BY the union of every class's key expressions — with every
+   aggregate decomposed into mergeable pieces, over the base table
+   itself. SQLite evaluates a single grouped SELECT (its one-pass
+   sorter/accumulator — grouping-set emulation without the syntax);
+   each pure-Python store makes one traversal feeding one accumulator
+   map keyed by the combined keys.
+2. **Sharded runs** (:mod:`repro.sharding.executor`). The partial runs
+   once per contiguous row-range shard: per class (a one-query
+   ``MultiPlan``), or for an unfiltered group of several classes as
+   one combined pass per shard.
 
-Why each merged result is byte-identical to running the plan alone:
+Either way the partial rows — one result, or one per shard in shard
+order — load as a temporary relation (``TEMP_PREFIX``-named,
+cache-exempt) and each class's result is derived by its merge query
+over it (:func:`merge_partials`), re-aggregating the class's own key
+subset with one algebra (:func:`decompose_aggregate`): COUNT/SUM
+partials via SUM, MIN/MAX via themselves, AVG as
+``SUM(sums) * 1.0 / SUM(counts)``. The merge runs *on the engine*, so
+arithmetic promotion, NULL handling, group ordering, and output naming
+are the engine's own.
 
-- **Rows.** The finest grouping partitions exactly the scanned rows;
+Why each merged result is byte-identical to running the class alone:
+
+- **Rows.** The finest grouping partitions exactly the scanned rows,
+  and shards are contiguous, disjoint, and cover the table;
   re-aggregating a key subset sees every row's contribution once.
 - **Order.** Engines order GROUP BY output either by key value
   (SQLite's sorter, matstore's sort-based grouping, vectorstore's
   ``np.unique`` path) — reproduced because the merge re-groups on the
   same engine — or by first occurrence in scan order (rowstore's dict,
-  vectorstore's hash loop), which the finest partial *preserves*: a
-  plan key value's first containing partial row sits at the position
+  vectorstore's hash loop), which the partial relation *preserves*. A
+  class key value's first containing partial row sits at the position
   of the finest group that first saw it, which is the position of the
-  value's first base row. First occurrences over the partial relation
-  therefore replay first occurrences over the base table.
-- **Values, types, names.** Group-key columns keep their base names
-  through the partial relation (the SQLite wrapper restores temporal /
-  boolean output types by schema lookup, exactly as in direct
-  execution); aggregate pieces carry internal ``__mp*`` names that no
-  restoration applies to — matching direct execution, where aliased
-  aggregate outputs are not schema columns either.
+  value's first base row; and a key first seen in shard *i* precedes,
+  in base order, every key first seen in shard *j > i*, so
+  concatenating per-shard partials in shard order keeps that. First
+  occurrences over the partial relation therefore replay first
+  occurrences over the base table.
+- **Values, types, names.** Group-key columns that are bare columns
+  keep their base names through the partial relation (the SQLite
+  wrapper restores temporal / boolean output types by schema lookup,
+  exactly as in direct execution); expression keys and aggregate
+  pieces carry internal ``__mkey*`` / ``__mp*`` names that no
+  restoration applies to — matching direct execution, where they are
+  not schema columns either. A select item named after a column of
+  the scanned table that is not that bare column (``MAX(day) AS
+  day``) is the one case direct execution restores and a merge could
+  not, so :func:`eligible_plan` sends its class down the per-class
+  path.
 
-Exactness boundary (shared with the sharded rollup,
-:class:`~repro.engine.batch.AggregateRollup`): the merge re-associates
-floating-point addition — per-fine-group sums are rounded before the
-final SUM — so SUM/AVG over arbitrary FLOAT columns agree with direct
-execution to IEEE-754 rounding, and are byte-identical for
-INTEGER/BOOLEAN columns and dyadic-rational floats. It also shares the
-rollup's naming boundary: an aggregate aliased to a base column's name
-(``MAX(day) AS day``) would skip the SQLite type restoration direct
-execution performs; dashboard workloads never alias aggregates to data
-columns, and group keys — the paper's temporal axes — are handled
-exactly.
+Exactness boundary: the merge re-associates floating-point addition —
+per-partial sums are rounded before the final SUM — so SUM/AVG over
+arbitrary FLOAT columns agree with direct execution to IEEE-754
+rounding (equal after :func:`~repro.engine.interface.normalize_value`),
+and are byte-identical for INTEGER/BOOLEAN columns and
+dyadic-rational floats. COUNT/MIN/MAX are exact for every type.
 
 Thread-safety contract (the same leaf-granular discipline as
 :mod:`repro.engine.batch`, relied on by
@@ -86,25 +98,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.batch import (
-    _NULL,
-    _substitute,
-    concat_partials,
-    decompose_aggregate,
-    eligible_plan,
-    unique_temp_name,
-)
+from repro.engine.batch import _NULL, unique_temp_name
 from repro.engine.interface import ResultSet
-from repro.engine.planner import AGG_PREFIX, KEY_PREFIX, AggregatePlan
-from repro.engine.table import Table
+from repro.engine.planner import (
+    AGG_PREFIX,
+    KEY_PREFIX,
+    AggregatePlan,
+    plan_query,
+)
+from repro.engine.table import Schema, Table
 from repro.errors import ExecutionError
 from repro.sql.ast import (
+    Between,
+    BinaryOp,
     Column,
     Expression,
     FuncCall,
+    InList,
+    IsNull,
+    Like,
+    Literal,
     Query,
     SelectItem,
+    Star,
     TableRef,
+    UnaryOp,
 )
 from repro.telemetry import trace as _trace
 
@@ -153,7 +171,7 @@ class PlanMerge:
 class MultiPlan:
     """One combined pass plus one merge per plan (grouping sets).
 
-    Built by :func:`build_multiplan` from the merged queries of two or
+    Built by :func:`build_multiplan` from the merged queries of one or
     more fusion classes sharing one scan. The *combined* query computes
     the finest grouping — GROUP BY the union of every plan's keys —
     with every aggregate decomposed into mergeable pieces; each
@@ -179,7 +197,7 @@ class MultiPlan:
         — no materialization happens at all. For sharded execution it
         is one shard's temp, aliased back to the base table name so
         table-qualified column references keep resolving (the same
-        rewrite the shared scan and the rollup use).
+        rewrite the shared scan uses).
         """
         return Query(
             select=self.combined_select,
@@ -188,12 +206,7 @@ class MultiPlan:
         )
 
     def partial_query(self, relation: str, base_table: str) -> Query:
-        """The combined pass over one shard's temp, aliased to the base.
-
-        The per-shard query a sharded run sends, with the same
-        signature as :meth:`AggregateRollup.partial_query
-        <repro.engine.batch.AggregateRollup.partial_query>`.
-        """
+        """The combined pass over one shard's temp, aliased to the base."""
         return self.combined_query(relation, alias=base_table)
 
     def partial_table(self, name: str, partials: list[ResultSet]) -> Table:
@@ -206,6 +219,161 @@ class MultiPlan:
         return concat_partials(name, self.combined_names, partials)
 
 
+def eligible_plan(query: Query, schema: Schema | None) -> AggregatePlan | None:
+    """The query's aggregate plan when its aggregates can decompose.
+
+    The single eligibility gate of every partial/merge plan, so no two
+    tiers can disagree about what is decomposable. ``schema`` is the
+    scanned table's; ``None`` (unknown) makes every query ineligible.
+    ``None`` marks queries whose aggregates cannot be re-aggregated
+    from partials: non-aggregates (projections concatenate instead),
+    HAVING / ORDER BY / LIMIT / DISTINCT (they change row sets or
+    ordering in ways that do not commute with re-aggregation),
+    DISTINCT aggregates (distinct sets overlap across partitions),
+    joins, and select items whose output name a merge cannot
+    reproduce: an unaliased expression's name is engine-dependent (the
+    same naming restriction
+    :func:`~repro.engine.planner.fusion_signature` applies), and an
+    item named after a column of the scanned table that is not that
+    bare column would lose the output-type restoration direct
+    execution applies by name (see the module docstring).
+    """
+    if (
+        schema is None
+        or query.joins
+        or query.having is not None
+        or query.order_by
+        or query.limit is not None
+        or query.distinct
+        or not query.is_aggregate
+    ):
+        return None
+    for position, item in enumerate(query.select):
+        expr = item.expr
+        if isinstance(expr, Star):
+            return None
+        if item.alias is None and not isinstance(expr, Column):
+            return None  # engine-dependent output name; cannot rebuild
+        name = item.output_name(position)
+        if name in schema and not (
+            isinstance(expr, Column) and expr.name == name
+        ):
+            return None  # restored by name directly, not after a merge
+    try:
+        plan = plan_query(query)
+    except ExecutionError:
+        return None
+    assert isinstance(plan, AggregatePlan)
+    for call in plan.agg_calls:
+        if call.distinct:
+            return None
+    return plan
+
+
+def concat_partials(
+    name: str, column_names: tuple[str, ...], partials: list[ResultSet]
+) -> Table:
+    """The merge input: every partial's rows concatenated, in order.
+
+    One partial for a combined single pass; one per shard — in shard
+    order, which preserves first-occurrence order — for sharded
+    execution.
+    """
+    columns: dict[str, list[object]] = {n: [] for n in column_names}
+    for partial in partials:
+        for column, values in zip(partial.columns, zip(*partial.rows)):
+            columns[column].extend(values)
+    return Table.from_columns(name, columns)
+
+
+def decompose_aggregate(
+    call: FuncCall, stem: str
+) -> tuple[list[SelectItem], list[str], Expression] | None:
+    """The mergeable decomposition of one aggregate call.
+
+    Returns ``(pieces, names, merge_expr)``: the partial SELECT items
+    computing the call's decomposed pieces (columns named from
+    ``stem``), their names, and the expression that re-aggregates the
+    pieces back into the call's value. This is the single home of the
+    merge algebra. ``None`` for functions outside the aggregate
+    vocabulary.
+    """
+    if call.name == "AVG":
+        sum_name = f"{stem}_sum"
+        count_name = f"{stem}_count"
+        # ``* 1.0`` forces float division on engines with integer
+        # ``/`` (SQLite); SQL NULL propagation makes the all-empty
+        # case come out NULL, matching AVG over zero rows.
+        merged: Expression = BinaryOp(
+            "/",
+            BinaryOp(
+                "*",
+                FuncCall("SUM", (Column(sum_name),)),
+                Literal(1.0),
+            ),
+            FuncCall("SUM", (Column(count_name),)),
+        )
+        return (
+            [
+                SelectItem(FuncCall("SUM", call.args), sum_name),
+                SelectItem(FuncCall("COUNT", call.args), count_name),
+            ],
+            [sum_name, count_name],
+            merged,
+        )
+    if call.name in ("COUNT", "SUM"):
+        # COUNT partials are never NULL, so SUM-of-counts is the total
+        # count; SUM partials skip NULLs partition-locally and SUM of
+        # the partials skips all-NULL partitions — both match the
+        # one-pass semantics exactly.
+        return [SelectItem(call, stem)], [stem], FuncCall(
+            "SUM", (Column(stem),)
+        )
+    if call.name in ("MIN", "MAX"):
+        return [SelectItem(call, stem)], [stem], FuncCall(
+            call.name, (Column(stem),)
+        )
+    return None
+
+
+def _substitute(expr: Expression, mapping: dict[str, Expression]) -> Expression:
+    """Replace placeholder columns by name throughout an expression."""
+    if isinstance(expr, Column):
+        return mapping.get(expr.name, expr)
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(
+            expr.op,
+            _substitute(expr.left, mapping),
+            _substitute(expr.right, mapping),
+        )
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, _substitute(expr.operand, mapping))
+    if isinstance(expr, FuncCall):
+        return FuncCall(
+            expr.name,
+            tuple(_substitute(a, mapping) for a in expr.args),
+            expr.distinct,
+        )
+    if isinstance(expr, InList):
+        return InList(
+            _substitute(expr.expr, mapping),
+            tuple(_substitute(v, mapping) for v in expr.values),
+            expr.negated,
+        )
+    if isinstance(expr, Between):
+        return Between(
+            _substitute(expr.expr, mapping),
+            _substitute(expr.low, mapping),
+            _substitute(expr.high, mapping),
+            expr.negated,
+        )
+    if isinstance(expr, Like):
+        return Like(_substitute(expr.expr, mapping), expr.pattern, expr.negated)
+    if isinstance(expr, IsNull):
+        return IsNull(_substitute(expr.expr, mapping), expr.negated)
+    return expr  # Literals and Star pass through.
+
+
 def _index_of(items: list[Expression], target: Expression) -> int:
     """First index of an equal expression (equality, not identity)."""
     for i, item in enumerate(items):
@@ -216,24 +384,23 @@ def _index_of(items: list[Expression], target: Expression) -> int:
 
 def build_multiplan(
     queries: list[Query],
+    schema: Schema | None,
     plans: list[AggregatePlan] | None = None,
 ) -> MultiPlan | None:
-    """The combined-pass decomposition of ``queries``, or ``None``.
+    """The partial/merge decomposition of ``queries``, or ``None``.
 
-    ``queries`` are the merged queries of a scan group's fusion classes
-    (identical row sets, distinct GROUP BY keys); ``plans`` may carry
-    their already-computed :func:`eligible_plan` results so callers
-    that filtered the classes don't plan twice. ``None`` when fewer
-    than two are given, when any fails :func:`eligible_plan`, or when
-    the combined partial relation's column names would collide — the
-    callers then keep the pre-existing one-execution-per-class path.
+    ``queries`` are the merged queries of one or more of a scan group's
+    fusion classes (identical row sets, distinct GROUP BY keys) over a
+    table with ``schema``; ``plans`` may carry their already-computed
+    :func:`eligible_plan` results so callers that filtered the classes
+    don't plan twice. ``None`` when any fails :func:`eligible_plan`, or
+    when the partial relation's column names would collide — the
+    callers then keep the one-execution-per-class path.
     """
-    if len(queries) < 2:
-        return None
     if plans is None:
         plans = []
         for query in queries:
-            plan = eligible_plan(query)
+            plan = eligible_plan(query, schema)
             if plan is None:
                 return None
             plans.append(plan)
@@ -263,10 +430,7 @@ def build_multiplan(
 
     # Aggregate pieces, deduplicated across plans: two plans asking for
     # SUM(latency) share one partial column. Each call maps to the
-    # merge expression that re-aggregates its pieces; the decomposition
-    # itself is the fusion layer's
-    # (:func:`~repro.engine.batch.decompose_aggregate`), so the merge
-    # algebra cannot drift from the sharded rollup's.
+    # merge expression that re-aggregates its pieces.
     agg_calls: list[FuncCall] = []
     merge_exprs: list[Expression] = []
     for _, plan in plans_raw:
@@ -383,16 +547,17 @@ def run_multiplan(executor, signature, classes, results, stats, produced):
     a merge query over the loaded partial relation, distributing into
     ``results``/``produced`` exactly like a shared scan. Returns the
     classes it did **not** cover (ineligible shapes, or all of them
-    when no combined plan exists), which the caller executes on the
-    pre-existing per-class path.
+    when fewer than two are eligible or no combined plan exists), which
+    the caller executes on the pre-existing per-class path.
     """
+    schema = executor.engine.table_schema(signature.table)
     eligible = []
     rest = []
     queries: list[Query] = []
     class_plans = []
     for cls in classes:
         query = cls.merged_query()
-        class_plan = eligible_plan(query)
+        class_plan = eligible_plan(query, schema)
         if class_plan is None:
             rest.append(cls)
             continue
@@ -401,7 +566,7 @@ def run_multiplan(executor, signature, classes, results, stats, produced):
         class_plans.append(class_plan)
     if len(eligible) < 2:
         return classes
-    plan = build_multiplan(queries, plans=class_plans)
+    plan = build_multiplan(queries, schema, plans=class_plans)
     if plan is None:
         return classes
 
@@ -440,6 +605,8 @@ __all__ = [
     "MultiPlan",
     "PlanMerge",
     "build_multiplan",
+    "concat_partials",
+    "decompose_aggregate",
     "eligible_plan",
     "merge_partials",
     "run_multiplan",

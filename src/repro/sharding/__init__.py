@@ -1,4 +1,4 @@
-"""Sharded scan execution: row-range partitioning + partial-agg rollup.
+"""Sharded scan execution: row-range partitioning + partial-aggregate merge.
 
 The third rung of the scale-out progression (batch -> async ->
 **sharded**). The batch layer collapsed a dashboard refresh into a few
@@ -17,10 +17,11 @@ as one monolithic task:
   shard, see :mod:`repro.engine.multiplan`); and
   :func:`plan_sharded_group`, the shardability gate.
 
-The aggregate decomposition itself (AVG into SUM/COUNT, the merge
-expressions) lives in the fusion layer —
-:func:`repro.engine.batch.build_rollup` — next to the query fusion it
-extends. The scheduling seam is the one loop in
+Every per-shard partial and its merge is planned by
+:func:`repro.engine.multiplan.build_multiplan`, the one home of the
+aggregate decomposition (AVG into SUM/COUNT, the merge expressions)
+and of the argument that the merged result is exact. The scheduling
+seam is the one loop in
 :meth:`repro.concurrency.executor.ScanGroupExecutor.run`,
 where ``shards`` replaces "one task per group" with "one task per
 (group, shard), then merge"; on threads ``shards=1`` is byte-for-byte

@@ -12,27 +12,11 @@ unchanged: each scan task is an ordinary unit of work for the
 concurrency layer's ``WorkerPool`` / ``execution_slot`` machinery,
 exactly like an unsharded group.
 
-Why the result is byte-identical to unsharded execution:
-
-- **Row coverage.** :class:`~repro.sharding.partition.RowRange` shards
-  are contiguous, disjoint, and cover the table, so the multiset of
-  rows feeding the aggregates is identical.
-- **Group ordering.** Every engine here orders GROUP BY output either
-  by key value (SQLite's sorter, the matstore's sort-based grouping,
-  the vectorstore's ``np.unique`` path) or by first occurrence in scan
-  order (the rowstore's dict, the vectorstore's hash loop). Key-sorted
-  orders are position-independent, so re-aggregating partials trivially
-  reproduces them. First-occurrence orders compose because shards are
-  contiguous: a key first seen in shard *i* precedes, in base order,
-  every key first seen in shard *j > i*; concatenating per-shard
-  partials in shard order therefore presents first occurrences to the
-  merge aggregation in exactly the base table's first-occurrence order.
-- **Values, types, names.** The merge runs *on the engine*, with the
-  rollup's merge expressions (COUNT/SUM partials via SUM, MIN/MAX via
-  themselves, AVG as ``SUM(sums) * 1.0 / SUM(counts)``), so arithmetic
-  promotion, NULL handling, and output naming are the engine's own.
-  See :class:`~repro.engine.batch.AggregateRollup` for the exactness
-  boundary on floating-point SUM/AVG.
+Why the result is byte-identical to unsharded execution — contiguous
+shards concatenated in shard order replay the base table's
+first-occurrence order, and the merge re-aggregates on the engine —
+and the exactness boundary on floating-point SUM/AVG are stated once,
+in :mod:`repro.engine.multiplan`, which plans every feed here.
 
 Thread-safety contract: each scan task writes only its own
 ``(feed, shard)`` slots of the partial matrix and runs engine calls
@@ -63,12 +47,11 @@ from repro.engine.batch import (
     BatchStats,
     ScanGroup,
     _FusionClass,
-    build_rollup,
     fuse_members,
     unique_temp_name,
 )
 from repro.engine.interface import QueryResult, ResultSet
-from repro.engine.multiplan import build_multiplan, merge_partials
+from repro.engine.multiplan import MultiPlan, build_multiplan, merge_partials
 from repro.errors import ExecutionError
 from repro.sharding.partition import Partitioner, RowRange
 from repro.telemetry import metrics as _metrics
@@ -98,12 +81,10 @@ class _ShardedRun:
     below; the concurrent executor turns :meth:`scan_tasks` (or
     :meth:`remote_jobs`) into units and calls :meth:`merge` once they
     have all settled. A run holds a list of *feeds*: each is one
-    per-shard partial query (an :class:`~repro.engine.batch.AggregateRollup`
-    or a :class:`~repro.engine.multiplan.MultiPlan` — anything with
-    ``partial_query``/``partial_table``) paired with the (fusion class,
-    merge) pairs its concatenated rows answer. Every shard runs every
-    feed's partial; the merge loads each feed's partials once and runs
-    each pair's ``merge_query`` over them.
+    per-shard partial query (a :class:`~repro.engine.multiplan.MultiPlan`)
+    paired with the (fusion class, merge) pairs its concatenated rows
+    answer. Every shard runs every feed's partial; the merge loads each
+    feed's partials once and runs each pair's ``merge_query`` over them.
     """
 
     #: Explain tier stamped on every member the merge answers.
@@ -371,10 +352,9 @@ class _ShardedRun:
 class ShardedGroupRun(_ShardedRun):
     """Per-class sharding: each shard runs one partial query per class.
 
-    One feed per fusion class, whose
-    :class:`~repro.engine.batch.AggregateRollup` is both the feed's
-    partial and its merge, so each class merges over its own
-    concatenated per-shard partials.
+    One feed per fusion class — a one-query
+    :class:`~repro.engine.multiplan.MultiPlan` — so each class merges
+    over its own concatenated per-shard partials.
     """
 
 
@@ -387,12 +367,7 @@ class MultiPlanShardedRun(_ShardedRun):
     instead of one partial query per fusion class — and the merge step
     concatenates the per-shard finest partials in shard order, loads
     them once, and derives every class's result with its own merge
-    query. Correctness follows from the same two arguments
-    independently established for sharding and for multiplan: the
-    finest partials concatenated in shard order preserve
-    first-occurrence composition (shards are contiguous), and each
-    class's merge re-aggregates its key subset through the engine
-    itself. Its one feed answers every class; the planner only builds
+    query. Its one feed answers every class; the planner only builds
     one for two or more classes left after cache serving, so its
     :meth:`scan_tasks` is never empty.
     """
@@ -413,14 +388,17 @@ def plan_sharded_group(
 
     ``None`` means the group cannot shard — no scan signature (joins),
     an engine that cannot report row counts / materialize row ranges,
-    or any fusion class whose merged query has no partial-aggregate
-    rollup — and must take the pre-existing one-task path. The decision
-    is made *before* touching the scan-group cache, so a ``None``
-    here leaves all cache accounting to the unsharded path.
+    or any fusion class whose merged query has no partial/merge plan
+    (:func:`~repro.engine.multiplan.build_multiplan`) — and must take
+    the pre-existing one-task path. The decision is made *before*
+    touching the scan-group cache, so a ``None`` here leaves all cache
+    accounting to the unsharded path.
 
     When the group shards, cache-served members are answered
     immediately (into ``results``/``stats``, mirroring the unsharded
     path) and only the remaining members are planned for execution.
+    Each class is planned once per batch: the gate's per-class plans
+    are reused unless the cache answered part of the group.
 
     ``multiplan`` (``None`` defers to ``executor.policy.multiplan``) upgrades
     a group of two or more combinable classes to a
@@ -442,34 +420,33 @@ def plan_sharded_group(
     row_count = engine.table_row_count(signature.table)
     if row_count is None:
         return None
+    schema = engine.table_schema(signature.table)
     # Shardability is a member-level property (naming-safe aggregate
-    # queries without HAVING/ORDER BY/LIMIT/DISTINCT), so checking the
+    # queries without HAVING/ORDER BY/LIMIT/DISTINCT), so planning the
     # full member set also answers for any cache-remainder subset.
-    if any(
-        build_rollup(cls.merged_query()) is None
-        for cls in fuse_members(group.members)
-    ):
+    classes = fuse_members(group.members)
+    plans = _class_plans(classes, schema)
+    if plans is None:
         return None
     pending = group.members
     if executor.group_cache is not None:
         pending = executor._serve_cached(signature, pending, results, stats)
-    classes = fuse_members(pending)
+        if len(pending) < len(group.members):
+            classes = fuse_members(pending)
+            plans = _class_plans(classes, schema)
+            assert plans is not None  # subset of a fully shardable group
     stats.fused_queries += len(pending) - len(classes)
     combine = executor.policy.multiplan if multiplan is None else multiplan
     # The multiplan tier covers *unfiltered* groups only, here exactly
     # as in the unsharded executor — filtered groups keep the per-class
-    # rollup (combined passes over filtered groups are ROADMAP future
+    # plans (combined passes over filtered groups are ROADMAP future
     # work). A group with an ineligible class never reaches this point:
-    # the build_rollup gate above already returned None, and the
-    # one-task fallback still applies the unsharded multiplan tier to
-    # the eligible subset.
-    if (
-        combine
-        and len(classes) > 1
-        and pending
-        and pending[0].query.where is None
-    ):
-        combined = build_multiplan([cls.merged_query() for cls in classes])
+    # the gate above already returned None, and the one-task fallback
+    # still applies the unsharded multiplan tier to the eligible subset.
+    if combine and len(classes) > 1 and pending[0].query.where is None:
+        combined = build_multiplan(
+            [cls.merged_query() for cls in classes], schema
+        )
         if combined is not None:
             return MultiPlanShardedRun(
                 executor,
@@ -478,18 +455,24 @@ def plan_sharded_group(
                 partitioner.split(row_count),
                 epoch,
             )
-    rollups = []
-    for cls in classes:
-        rollup = build_rollup(cls.merged_query())
-        assert rollup is not None  # subset of a fully shardable group
-        rollups.append(rollup)
     return ShardedGroupRun(
         executor,
         group,
-        [(rollup, [(cls, rollup)]) for cls, rollup in zip(classes, rollups)],
+        [(plan, [(cls, plan.plans[0])]) for cls, plan in zip(classes, plans)],
         partitioner.split(row_count),
         epoch,
     )
+
+
+def _class_plans(classes, schema) -> list[MultiPlan] | None:
+    """One single-class plan per fusion class, or ``None`` if any fails."""
+    plans = []
+    for cls in classes:
+        plan = build_multiplan([cls.merged_query()], schema)
+        if plan is None:
+            return None
+        plans.append(plan)
+    return plans
 
 
 __all__ = ["MultiPlanShardedRun", "ShardedGroupRun", "plan_sharded_group"]

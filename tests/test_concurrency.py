@@ -25,12 +25,11 @@ import pytest
 from repro.concurrency import (
     RefreshJob,
     ScanGroupExecutor,
-    SerialPool,
     SingleFlight,
     WorkerPool,
-    create_pool,
     map_ordered,
     refresh_many,
+    run_tasks,
     shared_worker_pool,
 )
 from repro.dashboard.library import DASHBOARD_NAMES, load_dashboard
@@ -76,17 +75,9 @@ def _assert_identical(sequential, batched, context: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_create_pool_degenerates_to_serial():
-    assert isinstance(create_pool(1), SerialPool)
-    assert isinstance(create_pool(0), SerialPool)
-    pool = create_pool(3)
-    assert isinstance(pool, WorkerPool)
-    pool.shutdown()
-
-
-def test_serial_pool_propagates_keyboard_interrupt_immediately():
+def test_run_tasks_serial_propagates_keyboard_interrupt_immediately():
     """Ctrl-C during an inline task must abort the task list at once,
-    not drain the remaining submissions first."""
+    not drain the remaining tasks first."""
     executed = []
 
     def task(i):
@@ -95,13 +86,12 @@ def test_serial_pool_propagates_keyboard_interrupt_immediately():
         executed.append(i)
         return i
 
-    pool = SerialPool()
     with pytest.raises(KeyboardInterrupt):
-        map_ordered(pool, task, range(5))
+        run_tasks([lambda i=i: task(i) for i in range(5)], workers=1)
     assert executed == [0]  # nothing after the interrupt ran
 
 
-def test_map_ordered_serial_pool_fails_fast():
+def test_run_tasks_serial_fails_fast():
     """Sequential mode keeps sequential semantics: a failure aborts the
     task list at the failing item instead of draining the rest."""
     executed = []
@@ -113,7 +103,7 @@ def test_map_ordered_serial_pool_fails_fast():
         return i
 
     with pytest.raises(ValueError, match="boom"):
-        map_ordered(SerialPool(), task, range(6))
+        run_tasks([lambda i=i: task(i) for i in range(6)], workers=1)
     assert executed == [0, 1]
 
 

@@ -12,8 +12,8 @@ addition (per-fine-group SUMs are rounded before the merge SUM), so
 the byte-identity property holds whenever partial sums are exactly
 representable. The tables here use integers and dyadic-rational floats
 (multiples of 0.25), for which IEEE-754 addition is exact — the same
-documented boundary as the sharded rollup
-(:class:`repro.engine.batch.AggregateRollup`).
+documented boundary as sharded execution
+(:mod:`repro.engine.multiplan`).
 """
 
 from __future__ import annotations
@@ -92,6 +92,10 @@ def _queries():
     return [parse_query(sql) for sql in _SUITE]
 
 
+#: The scanned table's schema, which every planner call takes.
+_SCHEMA = _events_table().schema
+
+
 def _assert_identical(sequential, batched, context: str) -> None:
     assert len(sequential) == len(batched), context
     for i, (seq, timed) in enumerate(zip(sequential, batched)):
@@ -114,7 +118,8 @@ def test_build_multiplan_combines_keys_and_dedups_aggregates():
                 "SELECT day, SUM(latency) AS s, AVG(latency) AS a "
                 "FROM events GROUP BY day"
             ),
-        ]
+        ],
+        _SCHEMA,
     )
     assert plan is not None
     combined = format_query(plan.combined_query("events"))
@@ -133,7 +138,8 @@ def test_build_multiplan_combines_keys_and_dedups_aggregates():
 
 def test_build_multiplan_rejects_uncombinable_shapes():
     grouped = "SELECT queue, COUNT(*) AS n FROM events GROUP BY queue"
-    assert build_multiplan([parse_query(grouped)]) is None  # needs >= 2
+    assert build_multiplan([parse_query(grouped)], _SCHEMA) is not None
+    assert eligible_plan(parse_query(grouped), None) is None  # no schema
     for bad in [
         "SELECT queue FROM events",  # projection: nothing to decompose
         "SELECT queue, COUNT(*) AS n FROM events GROUP BY queue "
@@ -144,11 +150,14 @@ def test_build_multiplan_rejects_uncombinable_shapes():
         "SELECT queue, COUNT(DISTINCT status) AS n FROM events "
         "GROUP BY queue",
         "SELECT COUNT(*) FROM events",  # unaliased non-column item
+        # Named after a base column it is not: restored only directly.
+        "SELECT queue, MAX(day) AS day FROM events GROUP BY queue",
+        "SELECT status AS queue, COUNT(*) AS n FROM events GROUP BY status",
     ]:
-        assert eligible_plan(parse_query(bad)) is None, bad
-        assert build_multiplan([parse_query(grouped), parse_query(bad)]) is (
-            None
-        ), bad
+        assert eligible_plan(parse_query(bad), _SCHEMA) is None, bad
+        assert build_multiplan(
+            [parse_query(grouped), parse_query(bad)], _SCHEMA
+        ) is None, bad
 
 
 def test_expression_keys_get_internal_names():
@@ -161,7 +170,8 @@ def test_expression_keys_get_internal_names():
             parse_query(
                 "SELECT queue, COUNT(*) AS n FROM events GROUP BY queue"
             ),
-        ]
+        ],
+        _SCHEMA,
     )
     assert plan is not None
     assert "__mkey0" in plan.combined_names

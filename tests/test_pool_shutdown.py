@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.concurrency.pool import SerialPool, WorkerPool, create_pool
+from repro.concurrency.pool import WorkerPool
 from repro.errors import ConfigError
 
 
@@ -63,30 +63,3 @@ def _boom():
 def test_worker_pool_rejects_zero_workers():
     with pytest.raises(ConfigError):
         WorkerPool(0)
-
-
-def test_serial_pool_shutdown_is_a_no_op_and_submit_still_works():
-    pool = SerialPool()
-    pool.shutdown()
-    pool.shutdown()
-    # Inline execution has nothing to tear down; the sequential path
-    # must keep working after a (spurious) shutdown call.
-    assert pool.submit(lambda: 3).result() == 3
-    failing = pool.submit(_boom)
-    with pytest.raises(ValueError):
-        failing.result()
-
-
-def test_serial_pool_context_manager():
-    with SerialPool() as pool:
-        assert pool.submit(lambda: 5).result() == 5
-    assert pool.submit(lambda: 6).result() == 6
-
-
-def test_create_pool_picks_flavor_by_width():
-    assert isinstance(create_pool(1), SerialPool)
-    pool = create_pool(2)
-    try:
-        assert isinstance(pool, WorkerPool)
-    finally:
-        pool.shutdown()

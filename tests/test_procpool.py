@@ -27,6 +27,7 @@ The contracts under test, in the order the module docstring of
 
 from __future__ import annotations
 
+import datetime as dt
 import os
 import subprocess
 import sys
@@ -45,6 +46,7 @@ from repro.concurrency.procpool import (
     shutdown_shared_pool,
 )
 from repro.engine import create_engine
+from repro.engine.table import Table
 from repro.errors import ExecutionError
 from repro.execution import ExecutionPolicy
 from repro.sql.parser import parse_query
@@ -78,6 +80,16 @@ _SQL = [
     "WHERE queue = 'A' GROUP BY repID ORDER BY n DESC LIMIT 3",
 ]
 
+#: Group keys named three ways — a bare column under an alias, an
+#: aliased expression, a key that is not selected — which the identity
+#: matrix runs beside ``_SQL``.
+_KEY_NAMING_SQL = [
+    "SELECT ts AS t, COUNT(*) AS n FROM customer_service GROUP BY ts",
+    "SELECT HOUR(ts) AS h, SUM(calls) AS c FROM customer_service "
+    "GROUP BY HOUR(ts)",
+    "SELECT SUM(abandoned) AS a FROM customer_service GROUP BY repID",
+]
+
 
 @pytest.fixture(scope="module", autouse=True)
 def _teardown_shared_pool():
@@ -87,15 +99,15 @@ def _teardown_shared_pool():
     shutdown_shared_pool()
 
 
-def _queries():
-    return [parse_query(sql) for sql in _SQL]
+def _queries(sql=tuple(_SQL)):
+    return [parse_query(text) for text in sql]
 
 
-def _run(engine_name: str, policy: ExecutionPolicy):
+def _run(engine_name: str, policy: ExecutionPolicy, sql=tuple(_SQL)):
     engine = create_engine(engine_name)
     engine.load_table(make_calls_table())
     try:
-        results = engine.execute_batch(_queries(), policy)
+        results = engine.execute_batch(_queries(sql), policy)
         return [(t.result.columns, t.result.rows) for t in results]
     finally:
         engine.close()
@@ -111,11 +123,71 @@ def _run(engine_name: str, policy: ExecutionPolicy):
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_byte_identity_matrix(engine_name, backend, shards, multiplan):
-    serial = _run(engine_name, ExecutionPolicy.serial())
+    sql = _SQL + _KEY_NAMING_SQL
+    serial = _run(engine_name, ExecutionPolicy.serial(), sql)
     policy = ExecutionPolicy(
         workers=2, shards=shards, multiplan=multiplan, backend=backend
     )
-    assert _run(engine_name, policy) == serial
+    assert _run(engine_name, policy, sql) == serial
+
+
+def _dated_table():
+    rows = 40
+    return Table.from_columns(
+        "t",
+        {
+            "q": [["a", "b", "c"][i % 3] for i in range(rows)],
+            "day": [
+                dt.date(2020, 1, 1) + dt.timedelta(days=i % 20)
+                for i in range(rows)
+            ],
+            "ts": [
+                dt.datetime(2020, 1, 1) + dt.timedelta(hours=i)
+                for i in range(rows)
+            ],
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ExecutionPolicy(multiplan=True),
+        ExecutionPolicy(shards=2),
+        ExecutionPolicy(shards=2, multiplan=True),
+        ExecutionPolicy(shards=2, backend="processes"),
+    ],
+    ids=["multiplan", "shards2", "shards2-multiplan", "shards2-processes"],
+)
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_aggregate_aliased_to_a_base_column_keeps_its_type(
+    engine_name, policy
+):
+    """An aggregate named after a base column is typed as serial types it.
+
+    SQLite restores date/timestamp outputs by output name, so
+    ``MAX(day) AS day`` comes back a ``date`` and ``MIN(day) AS ts`` a
+    ``datetime``; a merge over partials would return the ISO string.
+    The third query gives multiplan a second class to combine with.
+    """
+    queries = [
+        parse_query(sql)
+        for sql in (
+            "SELECT q, MAX(day) AS day FROM t GROUP BY q",
+            "SELECT q, MIN(day) AS ts FROM t GROUP BY q",
+            "SELECT day, COUNT(*) AS n FROM t GROUP BY day",
+        )
+    ]
+    engine = create_engine(engine_name)
+    engine.load_table(_dated_table())
+    try:
+        serial = engine.execute_batch(queries, ExecutionPolicy.serial())
+        out = engine.execute_batch(queries, policy)
+    finally:
+        engine.close()
+    assert [(t.result.columns, t.result.rows) for t in out] == [
+        (t.result.columns, t.result.rows) for t in serial
+    ]
 
 
 #: Full ``BatchStats`` of every vectorstore cell of the matrix above,

@@ -11,7 +11,7 @@ Float exactness note: the rollup re-associates floating-point addition
 property holds whenever partial sums are exactly representable. The
 tables here use integers and dyadic-rational floats (multiples of
 0.25), for which IEEE-754 addition is exact; see
-:class:`repro.engine.batch.AggregateRollup` for the boundary.
+:mod:`repro.engine.multiplan` for the boundary.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import pytest
 from repro.concurrency import ScanGroupExecutor
 from repro.dashboard.library import load_dashboard
 from repro.dashboard.state import DashboardState, InteractionKind
-from repro.engine.batch import BatchExecutor, build_rollup
+from repro.engine.batch import BatchExecutor
 from repro.engine.cache import CachedEngine
 from repro.engine.instrument import CountingEngine
 from repro.engine.interface import normalize_value
+from repro.engine.multiplan import build_multiplan
 from repro.engine.registry import create_engine
 from repro.engine.table import Table
 from repro.execution import ExecutionPolicy
@@ -103,23 +104,26 @@ def test_partitioner_rejects_invalid_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Rollup planning
+# Per-class partial/merge planning
 # ---------------------------------------------------------------------------
 
 
-def test_build_rollup_decomposes_avg_into_sum_and_count():
+def test_single_plan_decomposes_avg_into_sum_and_count():
     from repro.sql.formatter import format_query
 
-    rollup = build_rollup(
-        parse_query(
-            "SELECT queue, AVG(latency) AS a FROM events GROUP BY queue"
-        )
+    plan = build_multiplan(
+        [
+            parse_query(
+                "SELECT queue, AVG(latency) AS a FROM events GROUP BY queue"
+            )
+        ],
+        _events_table().schema,
     )
-    assert rollup is not None
-    partial = format_query(rollup.partial_query("__batchscan_t", "events"))
+    assert plan is not None
+    partial = format_query(plan.partial_query("__batchscan_t", "events"))
     assert "SUM(latency)" in partial and "COUNT(latency)" in partial
     assert "AVG" not in partial
-    merge = format_query(rollup.merge_query("__batchscan_p"))
+    merge = format_query(plan.plans[0].merge_query("__batchscan_p"))
     assert "* 1.0 /" in merge  # float division on every engine
 
 
@@ -137,8 +141,8 @@ def test_build_rollup_decomposes_avg_into_sum_and_count():
         "SELECT COUNT(*) FROM events",  # unaliased: engine-dependent name
     ],
 )
-def test_build_rollup_rejects_undecomposable_queries(sql):
-    assert build_rollup(parse_query(sql)) is None
+def test_single_plan_rejects_undecomposable_queries(sql):
+    assert build_multiplan([parse_query(sql)], _events_table().schema) is None
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +186,39 @@ def test_sharded_batch_identical_to_sequential(engine_name):
                 sequential, out,
                 f"{engine_name} shards={shards} workers={workers}",
             )
+    engine.close()
+
+
+#: Group keys named three ways: a bare column under an alias, an
+#: aliased expression, and a key that is not selected at all — plus a
+#: filtered class, which keeps its own plan under multiplan.
+_KEY_NAMING_SUITE = [
+    "SELECT day AS d, COUNT(*) AS n FROM events GROUP BY day",
+    "SELECT YEAR(day) AS y, SUM(priority) AS sp FROM events "
+    "GROUP BY YEAR(day)",
+    "SELECT COUNT(*) AS n, MAX(latency) AS hi FROM events GROUP BY status",
+    "SELECT day AS d, AVG(latency) AS a FROM events WHERE priority >= 3 "
+    "GROUP BY day",
+]
+
+
+@pytest.mark.parametrize("engine_name", ENGINES)
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ExecutionPolicy(shards=2),
+        ExecutionPolicy(workers=2, shards=3),
+        ExecutionPolicy(shards=2, multiplan=True),
+    ],
+    ids=["shards2", "workers2-shards3", "shards2-multiplan"],
+)
+def test_key_naming_shapes_identical_to_serial(engine_name, policy):
+    engine = create_engine(engine_name)
+    engine.load_table(_events_table())
+    queries = [parse_query(sql) for sql in _KEY_NAMING_SUITE]
+    serial = engine.execute_batch(list(queries), ExecutionPolicy.serial())
+    out = engine.execute_batch(list(queries), policy)
+    _assert_identical([t.result for t in serial], out, engine_name)
     engine.close()
 
 
