@@ -42,8 +42,8 @@ Thread-safety contract, in one place (each module documents its own
 piece): engine calls are *leaf-granular* — a non-thread-safe engine's
 per-instance :func:`~repro.concurrency.policy.execution_slot` is held
 for exactly one call, never across a wait on another thread; caches
-close the compute/invalidate race with *epoch guards* (a result
-computed against pre-mutation data is never stored after the mutation);
+key every entry by *table generation* (read once, before any engine
+work), so a result computed on pre-reload data is never served after;
 concurrent identical work *single-flights* into one computation; and
 SQLite runs worker threads on *per-thread replica connections*
 snapshotted from the primary, invalidated by a generation counter and

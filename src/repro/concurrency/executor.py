@@ -56,11 +56,11 @@ Thread-safety contract (what PR 2 established, spelled out):
   into one computation, with followers served from the scan-group
   cache the leader populated. Sharded groups skip the flight — their
   work is a task fan-out, not a single closure — and rely on the
-  epoch-guarded scan-group cache alone to absorb repeats.
-- **Epoch guards.** Every scan-group cache store carries the epoch
-  captured before the group's first engine call; a store whose table
-  was invalidated mid-compute is dropped, never cached (the "lost
-  invalidation" race the stress tests guard).
+  generation-keyed scan-group cache alone to absorb repeats.
+- **Generation keys.** Every scan-group cache lookup and store uses the
+  table generation read before the group's first engine call; a store
+  whose table was reloaded mid-compute is dropped, never cached (the
+  "lost invalidation" race the stress tests guard).
 - **Per-thread replicas.** SQLite executes worker-thread calls on
   private replica connections snapshotted from the primary (see
   :mod:`repro.engine.sqlite_engine`), so concurrent scans share no

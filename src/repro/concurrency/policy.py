@@ -110,7 +110,8 @@ class SlotGatedEngine(EngineWrapper):
     """Serializes every call into a non-thread-safe engine.
 
     Leaf-granular: each call :class:`~repro.engine.interface.EngineWrapper`
-    forwards runs inside the inner engine's :func:`execution_slot`, and
+    forwards but ``table_version`` (so a cache hit never waits behind a
+    scan) runs inside the inner engine's :func:`execution_slot`, and
     the slot is never held across anything that can block on another
     thread (holding it for a longer span deadlocks against single-flight
     waits). Interleaving calls from different tasks is safe because

@@ -275,8 +275,10 @@ class ProcessShardPool:
             snapshot_to = getattr(engine, "snapshot_to", None)
             if snapshot_to is None:
                 return None
+            # Versions are per table: name the table, or two tables at
+            # one version would share (and unlink) one file.
             path = os.path.join(
-                self._snapshots_locked(), f"export_{uid}_{version}.db"
+                self._snapshots_locked(), f"export_{uid}_{table}_{version}.db"
             )
             snapshot_to(path)
             self._files.add(path)

@@ -34,8 +34,9 @@ additionally evaluate in one combined pass per table
 (:mod:`repro.engine.multiplan`).
 
 :class:`CachedEngine` additionally caches whole scan groups
-(:class:`~repro.engine.cache.ScanGroupCache`), invalidated per table on
-``load_table``, so a repeated refresh costs zero engine work. The
+(:class:`~repro.engine.cache.ScanGroupCache`), keyed by each table's
+generation, so a repeated refresh costs zero engine work until a reload
+moves it. The
 execution strategy — batch, workers, shards, multiplan — travels the
 whole stack as one :class:`~repro.execution.ExecutionPolicy` value:
 ``engine.execute_batch(queries, policy)``,

@@ -57,9 +57,9 @@ and relies on three invariants this module maintains:
 - **Unique temp names** (:func:`unique_temp_name`): two executions of
   the same (table, filter) group overlapping on one engine can never
   replace or drop each other's shared-scan relation.
-- **Epoch-guarded cache stores**: the scan-group cache epoch is
-  captured *before* any engine work and passed to ``store`` — a result
-  computed against data that mutated mid-group is silently dropped
+- **Generation-keyed cache entries**: the table's generation is read
+  *before* any engine work and keys both the lookup and the ``store``
+  — a result computed against data reloaded mid-group is dropped
   instead of cached (the "lost invalidation" race).
 - **Leaf-granular engine calls**: no lock is held across an engine
   call, so a call that blocks on another thread's single-flight leader
@@ -447,11 +447,12 @@ class BatchExecutor:
         pending = group.members
         epoch = None
         if self.group_cache is not None:
-            # Captured before any engine work: if the table is
-            # invalidated while this group computes, the store below is
-            # dropped instead of caching results of vanished data.
+            # Read before any engine work: if the table is reloaded
+            # while this group computes, the store below is dropped.
             epoch = self.group_cache.epoch(signature.table)
-            pending = self._serve_cached(signature, pending, results, stats)
+            pending = self._serve_cached(
+                signature, epoch, pending, results, stats
+            )
             if not pending:
                 return
         classes = fuse_members(pending)
@@ -606,11 +607,12 @@ class BatchExecutor:
     def _serve_cached(
         self,
         signature: ScanSignature,
+        epoch: int | None,
         members: list[BatchItem],
         results: list[QueryResult | None],
         stats: BatchStats,
     ) -> list[BatchItem]:
-        """Answer members already in the scan-group cache; return the rest."""
+        """Answer members cached at generation ``epoch``; return the rest."""
         tracer = _trace.ACTIVE
         cm = (
             _NULL
@@ -621,7 +623,7 @@ class BatchExecutor:
         )
         with cm as span:
             cached = self.group_cache.lookup(
-                signature.table, signature.predicate_key
+                signature.table, signature.predicate_key, epoch
             )
             pending: list[BatchItem] = []
             for item in members:

@@ -12,24 +12,26 @@ Two cache layers cover the two execution modes:
 - the **per-query cache** answers repeated single queries;
 - the **scan-group cache** (:class:`ScanGroupCache`) answers whole
   batch groups — every result a shared scan produced, keyed by
-  (table, normalized predicate) — so a repeated dashboard refresh costs
+  (table, generation, normalized predicate) — so a repeated dashboard refresh costs
   zero engine work until the data changes.
 
-Invalidation is table-aware: ``load_table`` drops only the entries that
-read the replaced table (join results name every table they touched).
-Temporary shared-scan relations (``TEMP_PREFIX``) are exempt — they are
-derived data, loaded and dropped inside a single batch execution — and
-queries against them are never cached, so they can never go stale.
+Both layers key every entry by the generation
+(:meth:`~repro.engine.interface.Engine.table_version`) of each table it
+read, read once before any engine work and used for the lookup, the
+single-flight key and the store; a store whose generation is no longer
+current is dropped. A result computed against replaced data can only
+sit under a key no later caller asks for, so the purge that
+``load_table`` and friends run after the inner call only reclaims
+space. Queries against ``TEMP_PREFIX`` shared-scan relations (derived
+data, alive inside one batch execution) are never cached.
 
 Thread-safety: the wrapper is safe to hammer from a worker pool
 (``thread_safe = True``). Its own structures are mutex-guarded; calls
 into a non-thread-safe inner engine go through
 :func:`~repro.concurrency.policy.slot_gated` and so serialize on that
-engine's execution slot; concurrent misses on
-the same SQL collapse to one inner execution (single-flight); and an
-epoch counter closes the compute/invalidate race — a result computed
-against pre-mutation data is never stored after the mutation
-invalidated its table (the "lost invalidation" the stress tests guard).
+engine's execution slot (version reads excepted); and concurrent misses
+on the same SQL at the same generations collapse to one inner execution
+(single-flight).
 
 The caches are transparent: results are returned as fresh
 :class:`~repro.engine.interface.ResultSet` instances (rows are immutable
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 
 from repro.engine.batch import TEMP_PREFIX
 from repro.engine.interface import (
@@ -59,40 +62,36 @@ from repro.telemetry import trace as _trace
 class ScanGroupCache:
     """LRU cache of whole batch scan groups.
 
-    One entry per (table, normalized predicate) holds every member
-    result the group's shared scan produced, keyed by canonical SQL.
-    Entries fill incrementally: a later batch may add new member queries
-    to an existing group. ``load_table`` on the owning engine must call
-    :meth:`invalidate_table` — a mutated table silently serving stale
-    group results is exactly the regression the cache tests guard.
-
-    All operations are mutex-guarded; concurrent scan-group tasks may
-    look up and store freely. Writers that computed against data that
-    may have mutated mid-flight pass the :meth:`epoch` they observed
-    before computing — a store whose table epoch has moved on is
-    silently dropped rather than caching a stale group.
+    One entry per (table, generation, normalized predicate) holds every
+    member result the group's shared scan produced, keyed by canonical
+    SQL; a later batch may add members to an existing group.
+    ``versions`` is the owning engine's
+    :meth:`~repro.engine.interface.Engine.table_version`: a caller reads
+    :meth:`epoch` once, before any engine work, and passes it to
+    :meth:`lookup` and :meth:`store`, which drops a store whose
+    generation is no longer current (or ``None``). All operations are
+    mutex-guarded; ``versions`` runs under the mutex, which the engine
+    contract makes safe (it never blocks).
     """
 
     #: Member results retained per group; a long-lived session batching
     #: ever-varying SELECT shapes under one filter stays bounded.
     MAX_MEMBERS_PER_GROUP = 64
 
-    def __init__(self, capacity: int = 128) -> None:
+    def __init__(
+        self, versions: Callable[[str], int | None], capacity: int = 128
+    ) -> None:
         if capacity <= 0:
             raise ConfigError("scan-group cache capacity must be positive")
+        self._versions = versions
         self._capacity = capacity
         # repro: allow(RA106) — leaf lock guarding the LRU map only
         # (ARCHITECTURE §8); never held across engine work, no threads
         # are created here.
         self._lock = threading.RLock()
         self._groups: OrderedDict[
-            tuple[str, str], dict[str, ResultSet]
+            tuple[str, int, str], dict[str, ResultSet]
         ] = OrderedDict()
-        #: Per-table invalidation counters backing the epoch protocol.
-        self._epochs: dict[str, int] = {}
-        #: Cache-wide clears; part of every epoch so ``clear`` also
-        #: fences tables that were never individually invalidated.
-        self._clears = 0
 
     @property
     def size(self) -> int:
@@ -100,25 +99,26 @@ class ScanGroupCache:
         with self._lock:
             return len(self._groups)
 
-    def epoch(self, table: str) -> tuple[int, int]:
-        """The table's invalidation epoch; capture before computing.
-
-        Opaque to callers: compare for equality only. Moves when the
-        table is invalidated *or* the whole cache is cleared.
-        """
+    def keys(self) -> list[tuple[str, int, str]]:
+        """Every cached ``(table, generation, predicate key)``, LRU first."""
         with self._lock:
-            return (self._clears, self._epochs.get(table, 0))
+            return list(self._groups)
 
-    def lookup(self, table: str, predicate_key: str) -> dict[str, ResultSet]:
-        """The group's cached results by SQL text (empty when absent).
+    def epoch(self, table: str) -> int | None:
+        """The table's current generation; read it before computing."""
+        return self._versions(table)
 
-        Returns a shallow copy so callers cannot corrupt the entry.
-        """
+    def lookup(
+        self, table: str, predicate_key: str, epoch: int | None
+    ) -> dict[str, ResultSet]:
+        """The group's results at generation ``epoch`` (empty when
+        absent), as a shallow copy callers cannot corrupt it through."""
+        key = (table, epoch, predicate_key)
         with self._lock:
-            entry = self._groups.get((table, predicate_key))
+            entry = self._groups.get(key)
             if entry is None:
                 return {}
-            self._groups.move_to_end((table, predicate_key))
+            self._groups.move_to_end(key)
             return dict(entry)
 
     def store(
@@ -126,21 +126,17 @@ class ScanGroupCache:
         table: str,
         predicate_key: str,
         results: dict[str, ResultSet],
-        epoch: tuple[int, int] | None = None,
+        epoch: int | None,
     ) -> None:
         """Add one group's results, merging into any existing entry.
 
-        With ``epoch`` given, the store is dropped when the table was
-        invalidated (or the cache cleared) since the caller captured it
-        — the results were computed against data that no longer exists.
+        Dropped when ``epoch`` is no longer the table's generation: the
+        results were computed against data that has since been replaced.
         """
         with self._lock:
-            if epoch is not None and epoch != (
-                self._clears,
-                self._epochs.get(table, 0),
-            ):
+            if epoch is None or epoch != self._versions(table):
                 return
-            key = (table, predicate_key)
+            key = (table, epoch, predicate_key)
             entry = self._groups.get(key)
             if entry is None:
                 entry = {}
@@ -154,17 +150,20 @@ class ScanGroupCache:
             while len(self._groups) > self._capacity:
                 self._groups.popitem(last=False)
 
-    def invalidate_table(self, name: str) -> None:
-        """Drop every group that scanned ``name``."""
+    def purge_table(self, name: str) -> None:
+        """Drop every group of ``name`` at a superseded generation."""
         with self._lock:
-            self._epochs[name] = self._epochs.get(name, 0) + 1
-            stale = [key for key in self._groups if key[0] == name]
+            current = self._versions(name)
+            stale = [
+                key
+                for key in self._groups
+                if key[0] == name and key[1] != current
+            ]
             for key in stale:
                 del self._groups[key]
 
     def clear(self) -> None:
         with self._lock:
-            self._clears += 1
             self._groups.clear()
 
 
@@ -186,20 +185,19 @@ class CachedEngine(EngineWrapper):
             raise ConfigError("cache capacity must be positive")
         super().__init__(slot_gated(inner))
         self._capacity = capacity
-        # repro: allow(RA106) — leaf lock over the per-query LRU and
-        # epoch counter; queries execute outside it via single-flight
-        # (RA101 checks that stays true).
+        # repro: allow(RA106) — leaf lock over the per-query LRU;
+        # queries execute outside it via single-flight (RA101 checks
+        # that stays true).
         self._lock = threading.RLock()
-        #: Global invalidation counter; a per-query result computed
-        #: before any table mutation is never stored after it.
-        self._epoch = 0
-        #: sql text -> (result, names of every table the query read)
+        #: (sql text, ((table, generation) per table read)) -> result
         self._entries: OrderedDict[
-            str, tuple[ResultSet, frozenset[str]]
+            tuple[str, tuple[tuple[str, int], ...]], ResultSet
         ] = OrderedDict()
         # A scan group bundles several member results, so it gets a
         # proportionally smaller entry budget than the LRU.
-        self._scan_groups = ScanGroupCache(max(1, capacity // 2))
+        self._scan_groups = ScanGroupCache(
+            self._inner.table_version, max(1, capacity // 2)
+        )
         self._batch_executor = None
         self._flight = SingleFlight()
         self._group_flight = SingleFlight()
@@ -227,72 +225,61 @@ class CachedEngine(EngineWrapper):
                 return 0.0
             return self.hits / total
 
-    def _invalidate_table(self, name: str) -> None:
-        """Drop every cached answer that read ``name``.
+    def _generations(self, tables) -> tuple[tuple[str, int], ...] | None:
+        """``(table, generation)`` per table read; ``None`` (never
+        cached) for a shared-scan temp — one batch's transient relation
+        — or a table without a generation."""
+        if any(t.startswith(TEMP_PREFIX) for t in tables):
+            return None
+        pins = tuple((t, self._inner.table_version(t)) for t in sorted(tables))
+        return None if any(v is None for _, v in pins) else pins
 
-        Mutating or dropping a base table invalidates exactly the
-        entries that scanned it (join results carry every table name).
-        Shared-scan temps are exempt: they are derived data, never
-        cached, loaded and dropped inside a single batch execution.
-        """
+    def _purge_table(self, name: str) -> None:
+        """Reclaim both caches' entries at a superseded ``name`` generation."""
         if name.startswith(TEMP_PREFIX):
             return
+        current = self._inner.table_version(name)
         with self._lock:
-            self._epoch += 1
             stale = [
-                sql
-                for sql, (_, tables) in self._entries.items()
-                if name in tables
+                key
+                for key in self._entries
+                if any(t == name and v != current for t, v in key[1])
             ]
-            for sql in stale:
-                del self._entries[sql]
-        self._scan_groups.invalidate_table(name)
+            for key in stale:
+                del self._entries[key]
+        self._scan_groups.purge_table(name)
 
     def load_table(self, table: Table) -> None:
-        # Invalidate on both sides of the mutation: before, so no new
-        # reader trusts doomed entries; after, so anything a straggling
-        # compute stored mid-mutation is purged too.
-        self._invalidate_table(table.name)
-        try:
-            super().load_table(table)
-        finally:
-            self._invalidate_table(table.name)
+        super().load_table(table)
+        self._purge_table(table.name)
 
     def unload_table(self, name: str) -> None:
-        self._invalidate_table(name)
-        try:
-            super().unload_table(name)
-        finally:
-            self._invalidate_table(name)
+        super().unload_table(name)
+        self._purge_table(name)
 
     def materialize_filtered(
         self, name, source: str, predicate, row_range=None
     ) -> bool:
         # Writing to ``name`` replaces it like a load would.
-        self._invalidate_table(name)
-        try:
-            return super().materialize_filtered(
-                name, source, predicate, row_range
-            )
-        finally:
-            self._invalidate_table(name)
+        done = super().materialize_filtered(name, source, predicate, row_range)
+        self._purge_table(name)
+        return done
 
     def execute(self, query: Query) -> ResultSet:
         tables = frozenset(query.table_names())
-        if any(name.startswith(TEMP_PREFIX) for name in tables):
-            # Shared-scan temps are transient; caching them would risk
-            # stale reads after their base table mutates.
+        pins = self._generations(tables)
+        if pins is None:
             return self._inner.execute(query)
-        key = format_query(query)
+        # With the generations in the key, a caller arriving after a
+        # reload neither hits nor rides a flight of pre-reload data.
+        key = (format_query(query), pins)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self._record_hit(key)
-                result, _ = cached
-                return ResultSet(result.columns, result.rows)
-            epoch = self._epoch
+                self._record_hit(key[0])
+                return ResultSet(cached.columns, cached.rows)
 
         def compute() -> ResultSet:
             result = self._inner.execute(query)
@@ -301,26 +288,19 @@ class CachedEngine(EngineWrapper):
                 registry = _metrics.ACTIVE
                 if registry is not None:
                     registry.inc("cache.misses")
-                if self._epoch == epoch:
-                    self._entries[key] = (
-                        ResultSet(result.columns, result.rows),
-                        tables,
-                    )
+                if self._generations(tables) == pins:
+                    self._entries[key] = ResultSet(result.columns, result.rows)
                     if len(self._entries) > self._capacity:
                         self._entries.popitem(last=False)  # evict LRU
             return result
 
-        # The epoch is part of the flight key: a caller arriving after
-        # an invalidation completed must not ride a leader that started
-        # against the pre-mutation data — it starts a fresh flight and
-        # recomputes.
-        result, leader = self._flight.do((key, epoch), compute)
+        result, leader = self._flight.do(key, compute)
         if leader:
             return result
         # A follower rode the leader's computation: no inner work.
         with self._lock:
             self.hits += 1
-            self._record_hit(key)
+            self._record_hit(key[0])
         return ResultSet(result.columns, result.rows)
 
     @staticmethod
@@ -345,7 +325,7 @@ class CachedEngine(EngineWrapper):
 
         A repeated dashboard refresh (same table, same filters, same
         component queries) is answered entirely from the scan-group
-        cache; ``load_table`` on any scanned table invalidates it. The
+        cache until a scanned table's generation moves. The
         executor runs against the *inner* engine so merged/fetch
         queries — whose SQL no caller ever issues directly — don't
         evict useful entries from the per-query LRU. ``policy`` picks
@@ -389,7 +369,6 @@ class CachedEngine(EngineWrapper):
     def invalidate(self) -> None:
         """Drop every cached result (keeps hit/miss counters)."""
         with self._lock:
-            self._epoch += 1
             self._entries.clear()
         self._scan_groups.clear()
 

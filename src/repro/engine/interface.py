@@ -234,13 +234,19 @@ class Engine(abc.ABC):
         return None
 
     def table_version(self, name: str) -> int | None:
-        """Monotonic generation of a loaded table, or ``None``.
+        """The table's generation, the only per-table change counter.
 
-        Process-backed execution exports a table to shared memory once
-        per generation and keys the export on this value; a table whose
-        version it cannot learn is never exported (the policy degrades
-        to the thread backend). The default is ``None``: no generation,
-        no export, safe degradation.
+        Both result caches key on it, served sessions rebuild their
+        state when it moves, and process shards export once per value.
+        Every engine guarantees that it is monotonic per table and
+        ``None`` when the table is absent (SQLite: also mid-write); that
+        it moves on ``load_table``, ``unload_table``, a non-temp
+        ``materialize_filtered`` and SQLite's ``create_index``, never
+        because another table or a ``TEMP_PREFIX`` relation changed;
+        that it moves only once every new execution is guaranteed to
+        see the new data; and that it is safe to read from any thread
+        without the execution slot. The default, ``None``, caches and
+        exports nothing.
         """
         return None
 
@@ -400,8 +406,9 @@ class EngineWrapper(Engine):
             return self._inner.table_row_count(name)
 
     def table_version(self, name: str) -> int | None:
-        with self._gate():
-            return self._inner.table_version(name)
+        # Never gated: the version contract makes the read safe from
+        # any thread, and a cache hit must not wait behind a scan.
+        return self._inner.table_version(name)
 
     def table_object(self, name: str) -> Table | None:
         with self._gate():

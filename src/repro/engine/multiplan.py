@@ -86,8 +86,8 @@ Thread-safety contract (the same leaf-granular discipline as
   shards, and single-flight leaders is safe.
 - Cache stores happen in the caller (:meth:`BatchExecutor._run_group`
   or the sharded runs' shared ``merge`` in :mod:`repro.sharding.executor`)
-  under the epoch captured before any engine work, so a table
-  invalidated mid-compute drops the store instead of caching vanished
+  under the table generation read before any engine work, so a table
+  reloaded mid-compute drops the store instead of caching vanished
   data.
 
 :class:`MultiPlan` itself is immutable after construction and safe to

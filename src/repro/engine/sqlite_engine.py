@@ -103,6 +103,8 @@ class SQLiteEngine(Engine):
         #: Bumped on every base-table change; replicas older than this
         #: re-snapshot before their next use.
         self._generation = 0
+        #: Base table -> the generation of its last committed write.
+        self._versions: dict[str, int] = {}
         self._local = threading.local()
         self._replicas: list[sqlite3.Connection] = []
         self._schemas: dict[str, Table] = {}
@@ -129,9 +131,9 @@ class SQLiteEngine(Engine):
         on this thread) is *pinned*: a concurrent base-table load may
         have bumped the generation, but re-cloning now would destroy
         the temp mid-group. The group completes against its snapshot —
-        consistent results, and the caches drop the store via their
-        epoch checks — and the replica refreshes on the next use after
-        the pins are gone.
+        consistent results, and the caches drop the store because the
+        table's generation moved — and the replica refreshes on the
+        next use after the pins are gone.
         """
         if threading.get_ident() == self._owner:
             return self._primary
@@ -169,11 +171,20 @@ class SQLiteEngine(Engine):
         materializes them, so they live on the calling thread's own
         connection. Everything else is base data: it goes to the
         primary, and the generation bump invalidates every replica.
+        Until :meth:`_publish` the table has no version, so nothing
+        computed mid-write is cached (nor is a table a write failed on).
         """
         if name.startswith(TEMP_PREFIX):
             return self._connection()
         self._generation += 1
+        self._versions.pop(name, None)
         return self._primary
+
+    def _publish(self, name: str) -> None:
+        """Give a base table its new version once its write is committed
+        (under the lock): a reader that sees it sees the new data."""
+        if not name.startswith(TEMP_PREFIX):
+            self._versions[name] = self._generation
 
     def _pin_temp(self, name: str) -> None:
         """Mark a temp as live on this thread's connection (no re-clone)."""
@@ -209,6 +220,7 @@ class SQLiteEngine(Engine):
             conn.commit()
             self._schemas[table.name] = table
             self._pin_temp(table.name)
+            self._publish(table.name)
 
     def unload_table(self, name: str) -> None:
         with self._lock:
@@ -263,6 +275,7 @@ class SQLiteEngine(Engine):
         with self._lock:
             self._schemas[name] = base
             self._pin_temp(name)
+            self._publish(name)
         return True
 
     def table_schema(self, name: str):
@@ -273,19 +286,9 @@ class SQLiteEngine(Engine):
         return table.schema
 
     def table_version(self, name: str):
-        """The engine-wide generation, as this table's version.
-
-        The generation counter bumps on *every* base-table write, so it
-        is coarser than a per-table version — a process-shard export
-        may be rebuilt when an unrelated table changed — but never
-        stale: any change to ``name`` is guaranteed to move it.
-        """
-        if name.startswith(TEMP_PREFIX):
-            return None
-        with self._lock:
-            if name not in self._schemas:
-                return None
-            return self._generation
+        """The generation of ``name``'s last write; ``None`` for temps,
+        absent tables and mid-write. Lock-free: one dict read."""
+        return self._versions.get(name)
 
     def snapshot_to(self, path) -> None:
         """Write the primary database to ``path`` via the backup API.
@@ -345,6 +348,7 @@ class SQLiteEngine(Engine):
                 f'CREATE INDEX IF NOT EXISTS "{name}" ON "{table}" ("{column}")'
             )
             self._primary.commit()
+            self._publish(table)  # an index can change result row order
 
     def execute(self, query: Query) -> ResultSet:
         with self._lock:  # stable snapshot vs concurrent load_table

@@ -9,6 +9,7 @@ engine; the SQLite wrapper copies it into a real database.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,23 +348,23 @@ class Table:
 class Database:
     """A named collection of tables, the unit an engine loads.
 
-    Every ``add``/``remove`` advances a per-database monotonic counter
-    and stamps the touched name with it, so :meth:`version` answers
-    "has this table changed since I looked?" — the generation handle
-    process-backed execution keys its shared-memory exports on
-    (:mod:`repro.concurrency.procpool`).
+    Every ``add``/``remove`` stamps the touched name with a fresh value
+    of a per-database monotonic clock, *after* the swap, so
+    :meth:`version` answers "has this table changed since I looked?" —
+    the engines' :meth:`~repro.engine.interface.Engine.table_version`.
+    The clock is an :func:`itertools.count`, whose ``next`` is atomic,
+    so concurrent writers never draw the same version.
     """
 
     def __init__(self, tables: list[Table] | None = None) -> None:
         self._tables: dict[str, Table] = {}
-        self._version_clock = 0
+        self._clock = itertools.count(1)
         self._versions: dict[str, int] = {}
         for table in tables or []:
             self.add(table)
 
     def _bump(self, name: str) -> None:
-        self._version_clock += 1
-        self._versions[name] = self._version_clock
+        self._versions[name] = next(self._clock)
 
     def add(self, table: Table) -> None:
         self._tables[table.name] = table

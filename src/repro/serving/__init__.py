@@ -13,7 +13,7 @@ any one session:
   per-tenant fairness.
 - :class:`~repro.serving.cache.CrossSessionCache` — one tenant's
   refresh warms every co-tenant, keyed exactly like the engine's
-  scan-group cache and guarded by the same epoch protocol.
+  scan-group cache, by the same engine table generation.
 - :class:`~repro.serving.app.ServingApp` — the transport-free server;
   :class:`~repro.serving.server.DashboardServer` — the stdlib HTTP
   front end; :func:`~repro.serving.loadgen.run_load` — IDEBench-mix

@@ -137,9 +137,10 @@ class ServingApp:
     def load_table(self, table: Table) -> "ServingApp":
         """Load (or replace) a table in every engine host; chainable.
 
-        A replace invalidates the cross-session cache for that table on
-        each host (epoch bump) and resets dependent dashboard states on
-        their next request, mirroring :meth:`repro.facade.Session.load`.
+        A replace moves the table's generation on each host's engine, so
+        no later refresh reads the old table's cached results, and
+        resets dependent dashboard states on their next request,
+        mirroring :meth:`repro.facade.Session.load`.
         """
         with self._lock:
             self._tables[table.name] = table

@@ -14,19 +14,22 @@ second keying scheme: the keys come from the same
 :func:`~repro.engine.planner.scan_signature` /
 :func:`~repro.sql.formatter.format_query` pair the batch executor
 groups by, so a result cached here is indistinguishable from one the
-scan-group cache would have produced, and the same epoch protocol
-guards both against the load-table race.
+scan-group cache would have produced, and both are keyed by the same
+table generation (:meth:`~repro.engine.interface.Engine.table_version`
+of the host's engine).
 
 Consistency contract (pinned by ``tests/test_serving.py`` and the
 interleaving property test):
 
-- **Epoch-guarded stores.** Each refresh captures the epoch of every
-  table it reads *before* executing; a store whose table was
-  invalidated mid-compute is silently dropped (the "lost invalidation"
-  the concurrent-tenant hammer guards).
+- **One generation per refresh.** A refresh reads each table's
+  generation once, *before* any lookup or engine work, and uses it for
+  its lookups, its single-flight key and its stores; a store whose
+  generation moved mid-compute is dropped.
 - **Single-flight across sessions.** Concurrent identical refreshes
-  — co-tenants hammering the same dashboard state — collapse to one
-  engine execution; followers share the leader's (immutable) results.
+  at the same generations — co-tenants hammering the same dashboard
+  state — collapse to one engine execution; followers share the
+  leader's (immutable) results, and a refresh that starts after a
+  reload never rides a flight on the old table.
 - **Join queries bypass.** Queries without a scan signature are never
   cached (mirroring the batch executor's fallback tier), so the cache
   can never serve a stale multi-table read.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.concurrency.singleflight import SingleFlight
@@ -72,11 +76,14 @@ class CrossSessionCache:
     (shared scans, shards, multiplan — whatever the tenant's policy
     says), and stores the fresh results for every co-tenant. Results
     are byte-identical to an uncached direct refresh: cached rows are
-    the immutable tuples the engine produced.
+    the immutable tuples the engine produced. ``versions`` is the host
+    engine's :meth:`~repro.engine.interface.Engine.table_version`.
     """
 
-    def __init__(self, capacity: int = 128) -> None:
-        self._groups = ScanGroupCache(capacity)
+    def __init__(
+        self, versions: Callable[[str], int | None], capacity: int = 128
+    ) -> None:
+        self._groups = ScanGroupCache(versions, capacity)
         self._flight = SingleFlight()
         self._lock = threading.Lock()
         self._hits = 0
@@ -101,15 +108,6 @@ class CrossSessionCache:
         """The underlying scan-group store (shared keying with the engine cache)."""
         return self._groups
 
-    # -- invalidation --------------------------------------------------------
-
-    def invalidate_table(self, name: str) -> None:
-        """Drop every cached result that scanned ``name`` (epoch bump)."""
-        self._groups.invalidate_table(name)
-
-    def clear(self) -> None:
-        self._groups.clear()
-
     # -- the read path -------------------------------------------------------
 
     def refresh(
@@ -129,6 +127,13 @@ class CrossSessionCache:
         ids = sorted(state.visualizations) if viz_ids is None else list(viz_ids)
         queries = {v: state.query_for(v) for v in ids}
         keys = {v: _query_keys(queries[v]) for v in ids}  # (sql, signature)
+        # Read once, before any lookup or engine work: the lookups, the
+        # flight key and the stores all use these generations.
+        epochs = {
+            signature.table: self._groups.epoch(signature.table)
+            for _, signature in keys.values()
+            if signature is not None
+        }
 
         results: dict[str, QueryResult] = {}
         missing: list[str] = []
@@ -139,7 +144,9 @@ class CrossSessionCache:
                 continue
             lookup_start = time.perf_counter()
             cached = self._groups.lookup(
-                signature.table, signature.predicate_key
+                signature.table,
+                signature.predicate_key,
+                epochs[signature.table],
             ).get(sql)
             if cached is None:
                 missing.append(viz_id)
@@ -156,22 +163,15 @@ class CrossSessionCache:
             self._account(hits, 0, served=True)
             return results
 
-        # Only the missing visualizations execute; the flight key is the
-        # exact (viz, sql) set, so two sessions in the same dashboard
-        # state — same queries — collapse to one engine execution.
-        flight_key = tuple(sorted((v, keys[v][0]) for v in missing))
+        # Only the missing visualizations execute. Keyed by generation
+        # and the exact (viz, sql) set, co-tenants in one dashboard
+        # state share one flight, and none rides a pre-reload one.
+        flight_key = (
+            tuple(sorted(epochs.items())),
+            tuple(sorted((v, keys[v][0]) for v in missing)),
+        )
 
         def compute() -> dict[str, QueryResult]:
-            epochs = {}
-            for viz_id in missing:
-                signature = keys[viz_id][1]
-                if signature is not None and signature.table not in epochs:
-                    # Captured before any engine work: a load_table that
-                    # lands mid-refresh moves the epoch and voids the
-                    # store below.
-                    epochs[signature.table] = self._groups.epoch(
-                        signature.table
-                    )
             fresh = state.refresh(engine, viz_ids=missing, policy=policy)
             by_group: dict[tuple[str, str], dict[str, ResultSet]] = {}
             for viz_id, timed in fresh.items():
@@ -183,7 +183,7 @@ class CrossSessionCache:
                 )[sql] = timed.result
             for (table, predicate_key), members in by_group.items():
                 self._groups.store(
-                    table, predicate_key, members, epoch=epochs.get(table)
+                    table, predicate_key, members, epochs[table]
                 )
             return fresh
 

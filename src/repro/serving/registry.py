@@ -38,36 +38,32 @@ from repro.serving.cache import CrossSessionCache
 class EngineHost:
     """One shared engine + cross-session cache, reference-counted.
 
-    ``load_table`` follows the :class:`~repro.engine.cache.CachedEngine`
-    invalidation protocol — invalidate *before* the swap (readers must
-    not extend a doomed group) and *after* it (a straggler store that
-    captured its epoch pre-swap is voided) — so no cached result can
-    outlive the table it scanned.
+    The engine's :meth:`~repro.engine.interface.Engine.table_version` is
+    the host's only table generation: the cache keys its entries on it
+    and served sessions rebuild their dashboard state when it moves.
+    ``load_table`` swaps the host's table *before* the engine load, so
+    a state stamped with the new generation is always built from the
+    new table, and purges the superseded cache entries once, after the
+    load — to reclaim space; correctness does not depend on it.
     """
 
     def __init__(self, name: str, cache_capacity: int = 128) -> None:
         self.name = name
         self.engine: Engine = create_engine(name)
-        self.cache = CrossSessionCache(cache_capacity)
+        self.cache = CrossSessionCache(
+            self.engine.table_version, cache_capacity
+        )
         self._lock = threading.Lock()
         self._refs = 0
         self._tables: dict[str, Table] = {}
-        #: Per-table load counter; served sessions stamp the version
-        #: their dashboard state was built against and rebuild when a
-        #: reload moves it (widget domains derive from table data).
-        self._versions: dict[str, int] = {}
 
     # -- tables --------------------------------------------------------------
 
     def load_table(self, table: Table) -> None:
         with self._lock:
             self._tables[table.name] = table
-            self._versions[table.name] = (
-                self._versions.get(table.name, 0) + 1
-            )
-        self.cache.invalidate_table(table.name)
         self.engine.load_table(table)
-        self.cache.invalidate_table(table.name)
+        self.cache.groups.purge_table(table.name)
 
     def table(self, name: str) -> Table:
         with self._lock:
@@ -78,10 +74,6 @@ class EngineHost:
                 f"load it through the app first"
             )
         return table
-
-    def table_version(self, name: str) -> int:
-        with self._lock:
-            return self._versions.get(name, 0)
 
     @property
     def tables(self) -> tuple[str, ...]:
@@ -122,7 +114,7 @@ class EngineHost:
 
     def close(self) -> None:
         self.quiesce()
-        self.cache.clear()
+        self.cache.groups.clear()
         self.engine.close()
 
 
@@ -150,7 +142,7 @@ class ServedSession:
         self.lock = threading.Lock()
         self.closed = False
         self._state: DashboardState | None = None
-        self._version = -1
+        self._version: int | None = None
 
     @property
     def state(self) -> DashboardState:
@@ -159,10 +151,11 @@ class ServedSession:
         A replaced table resets dependent dashboards to their default
         state — the same semantics as :meth:`repro.facade.Session.load`
         dropping cached states — because widget domains and range steps
-        derive from the table's data at construction.
+        derive from the table's data at construction. A ``None``
+        version (SQLite mid-write) keeps the state: one reload, one reset.
         """
-        version = self.host.table_version(self.spec.database.table)
-        if self._state is None or version != self._version:
+        version = self.host.engine.table_version(self.spec.database.table)
+        if self._state is None or version not in (None, self._version):
             self._state = DashboardState(
                 self.spec, self.host.table(self.spec.database.table)
             )

@@ -743,6 +743,9 @@ class _SlowEngine(Engine):
     def materialize_filtered(self, name, source, predicate):
         return self._inner.materialize_filtered(name, source, predicate)
 
+    def table_version(self, name):
+        return self._inner.table_version(name)
+
     def execute(self, query):
         time.sleep(self._delay_s)
         return self._inner.execute(query)
@@ -846,6 +849,9 @@ def test_flight_follower_after_invalidation_recomputes():
         def table_schema(self, name):
             return self._inner.table_schema(name)
 
+        def table_version(self, name):
+            return self._inner.table_version(name)
+
         def execute(self, query):
             # Compute first, *then* stall: the first caller ends up
             # holding a result of the pre-mutation snapshot.
@@ -887,17 +893,26 @@ def test_flight_follower_after_invalidation_recomputes():
     engine.close()
 
 
-def test_scan_group_cache_clear_fences_unseen_tables():
-    """clear() must drop stores whose epoch predates it, even for
-    tables that were never individually invalidated."""
+def test_scan_group_cache_drops_a_store_at_a_superseded_generation():
+    """A group computed before a reload is never cached, and a lookup
+    at the new generation misses rather than serving the old rows."""
     from repro.engine.cache import ScanGroupCache
     from repro.engine.interface import ResultSet as RS
 
-    cache = ScanGroupCache()
-    epoch = cache.epoch("events")  # table never invalidated before
-    cache.clear()
-    cache.store("events", "pred", {"sql": RS(["n"], [(1,)])}, epoch=epoch)
-    assert cache.size == 0  # pre-clear compute must not repopulate
+    engine = create_engine("vectorstore")
+    engine.load_table(_version_table(0))
+    cache = ScanGroupCache(engine.table_version)
+    old = cache.epoch("events")  # read before computing
+    engine.load_table(_version_table(1))  # the reload lands mid-compute
+    new = cache.epoch("events")
+    assert new > old
+    cache.store("events", "pred", {"sql": RS(["v"], [(0,)])}, epoch=old)
+    assert cache.size == 0
+    assert cache.lookup("events", "pred", new) == {}
+    cache.store("events", "pred", {"sql": RS(["v"], [(1,)])}, epoch=new)
+    assert cache.lookup("events", "pred", new)["sql"].rows == [(1,)]
+    assert cache.lookup("events", "pred", old) == {}
+    engine.close()
 
 
 def test_cached_engine_concurrent_identical_queries_compute_once():

@@ -399,11 +399,13 @@ class TestScanGroupCacheInvalidation:
         from repro.engine import ResultSet
         from repro.engine.cache import ScanGroupCache
 
-        cache = ScanGroupCache()
+        cache = ScanGroupCache(lambda table: 1)  # "t" stays at version 1
         cap = ScanGroupCache.MAX_MEMBERS_PER_GROUP
         for i in range(cap + 10):
-            cache.store("t", "p", {f"SELECT {i}": ResultSet(["a"], [(i,)])})
-        entry = cache.lookup("t", "p")
+            cache.store(
+                "t", "p", {f"SELECT {i}": ResultSet(["a"], [(i,)])}, 1
+            )
+        entry = cache.lookup("t", "p", 1)
         assert len(entry) == cap
         assert f"SELECT {cap + 9}" in entry  # newest kept
         assert "SELECT 0" not in entry  # oldest evicted

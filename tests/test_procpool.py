@@ -420,6 +420,50 @@ def test_reload_retires_the_old_export_and_reexports():
         engine.close()
 
 
+def test_sqlite_reload_of_one_table_keeps_the_others_export():
+    """Two sqlite tables export to two snapshot files; reloading one
+    between sharded batches re-exports only it, and both tables' results
+    stay identical to serial execution."""
+    first = make_calls_table()
+    second = Table(
+        "other",
+        first.schema,
+        {name: list(first.column(name)) for name in first.schema.names},
+    )
+    queries = _queries() + _queries(
+        tuple(sql.replace("customer_service", "other") for sql in _SQL)
+    )
+    engine = create_engine("sqlite")
+    engine.load_table(first)
+    engine.load_table(second)
+    pool = ProcessShardPool(workers=2)
+    policy = ExecutionPolicy(workers=2, shards=2, backend="processes")
+
+    def sharded_equals_serial():
+        executor = ScanGroupExecutor(engine, policy, proc_pool=pool)
+        sharded = executor.run(list(queries)).results
+        serial = engine.execute_batch(list(queries), ExecutionPolicy.serial())
+        assert [(t.result.columns, t.result.rows) for t in sharded] == [
+            (t.result.columns, t.result.rows) for t in serial
+        ]
+
+    try:
+        sharded_equals_serial()
+        kept = pool.export_table(engine, "other")
+        old = pool.export_table(engine, "customer_service")
+        assert kept.spec.path != old.spec.path
+        assert os.path.exists(kept.spec.path)
+        assert os.path.exists(old.spec.path)
+        engine.load_table(make_calls_table(120))
+        sharded_equals_serial()
+        assert pool.export_table(engine, "other") is kept
+        assert os.path.exists(kept.spec.path)
+        assert not os.path.exists(old.spec.path)  # retired with its version
+    finally:
+        pool.shutdown()
+        engine.close()
+
+
 def test_retired_export_with_in_flight_tasks_unlinks_after_the_last():
     engine = create_engine("vectorstore")
     engine.load_table(make_calls_table())

@@ -40,6 +40,7 @@ from repro.concurrency.procpool import shared_process_pool
 from repro.dashboard.library import load_dashboard
 from repro.dashboard.state import DashboardState, InteractionKind
 from repro.errors import AdmissionError, UnknownSessionError
+from repro.engine.table import Table
 from repro.execution import ExecutionPolicy
 from repro.serving import (
     AdmissionController,
@@ -51,6 +52,7 @@ from repro.serving import (
     encode_interaction,
     results_signature,
 )
+from repro.serving.registry import EngineHost
 from repro.workload import generate_dataset
 
 #: Multi-tenant hammers and HTTP soaks: worth skipping in a quick
@@ -219,6 +221,86 @@ def test_no_lost_invalidation_with_16_tenants_racing_load_table(spec):
         direct.load(final)
         expected = direct.refresh(DASHBOARD)
     assert results_signature(served) == results_signature(expected)
+
+
+def grown(table):
+    """The next generation of ``table``: its rows plus a repeat of its
+    first tenth (counts and sums move, widget domains do not)."""
+    extra = max(1, table.num_rows // 10)
+    return Table(
+        table.name,
+        table.schema,
+        {
+            name: list(table.column(name)) + list(table.column(name)[:extra])
+            for name in table.schema.names
+        },
+    )
+
+
+class _JoinSignal(threading.Event):
+    """A flight's ``done`` event that reports when a follower waits."""
+
+    def __init__(self, joined: threading.Event) -> None:
+        super().__init__()
+        self.joined = joined
+
+    def wait(self, timeout=None):
+        self.joined.set()
+        return super().wait(timeout)
+
+
+def test_refresh_after_reload_never_rides_a_flight_on_the_old_table(spec):
+    """A refresh that starts after ``load_table`` returned must get the
+    new table's rows, even while a co-tenant's identical refresh that
+    computed on the old table is still in flight."""
+    old = generate_dataset(DASHBOARD, 500, seed=3)
+    new = grown(old)
+    host = EngineHost("vectorstore")
+    host.load_table(old)
+    engine = host.engine
+    computed = threading.Event()
+    release = threading.Event()
+    real_batch = engine.execute_batch
+
+    def compute_then_block(queries, policy=None):
+        results = real_batch(queries, policy)  # computed on the old table
+        if not computed.is_set():
+            computed.set()
+            assert release.wait(timeout=10.0)
+        return results
+
+    engine.execute_batch = compute_then_block
+    leader = threading.Thread(
+        target=host.cache.refresh, args=(DashboardState(spec, old), engine)
+    )
+    leader.start()
+    assert computed.wait(timeout=10.0)
+    host.load_table(new)  # returns while the leader is still in flight
+
+    # The follower either joins the leader's flight (and waits on its
+    # done event) or computes on its own: either way ``progress`` fires.
+    progress = threading.Event()
+    (flight,) = host.cache._flight._flights.values()
+    flight.done = _JoinSignal(progress)
+    box = {}
+
+    def follower():
+        box["served"] = host.cache.refresh(DashboardState(spec, new), engine)
+        progress.set()
+
+    thread = threading.Thread(target=follower)
+    thread.start()
+    assert progress.wait(timeout=10.0)
+    release.set()
+    leader.join(timeout=10.0)
+    thread.join(timeout=10.0)
+    host.close()
+
+    with repro.connect("vectorstore") as direct:
+        direct.load(new)
+        expected = direct.refresh(DASHBOARD)
+    assert len(box["served"]) == len(expected) == 5
+    assert results_signature(box["served"]) == results_signature(expected)
 
 
 # ---------------------------------------------------------------------------

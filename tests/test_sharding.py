@@ -587,7 +587,9 @@ def test_fully_cached_sharded_group_schedules_no_tasks():
     engine.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:3]]  # one scan group
     executor = ScanGroupExecutor(
-        engine, ExecutionPolicy(shards=4), group_cache=ScanGroupCache()
+        engine,
+        ExecutionPolicy(shards=4),
+        group_cache=ScanGroupCache(engine.table_version),
     )
     executor.run(list(queries))  # cold: populates the group cache
     from repro.engine.batch import BatchStats, group_queries
@@ -606,23 +608,25 @@ def test_fully_cached_sharded_group_schedules_no_tasks():
 
 
 def test_mutation_between_plan_and_merge_is_not_cached():
-    """The epoch is captured before the row count is read: a table
-    swapped anywhere after plan start must drop the cache store, never
-    serve stale-range results to later refreshes."""
+    """The generation is read before the row count: a table reloaded
+    anywhere after plan start must drop the cache store (its generation
+    is no longer current), never serve stale-range results to later
+    refreshes."""
     from repro.engine.cache import ScanGroupCache
     from repro.engine.interface import Engine
 
-    cache = ScanGroupCache()
     inner = create_engine("vectorstore")
+    cache = ScanGroupCache(inner.table_version)
 
-    class InvalidateOnRowCount(Engine):
-        """Simulates a concurrent reload landing right after planning
-        reads the table extent."""
+    class ReloadOnRowCount(Engine):
+        """A concurrent reload landing right after planning reads the
+        table extent: the first row count loads a new generation."""
 
         thread_safe = True
 
         def __init__(self):
             self.name = inner.name
+            self.reloaded = False
 
         def load_table(self, table):
             inner.load_table(table)
@@ -633,9 +637,14 @@ def test_mutation_between_plan_and_merge_is_not_cached():
         def table_schema(self, name):
             return inner.table_schema(name)
 
+        def table_version(self, name):
+            return inner.table_version(name)
+
         def table_row_count(self, name):
             count = inner.table_row_count(name)
-            cache.invalidate_table(name)  # the concurrent mutation
+            if not self.reloaded:  # the concurrent mutation
+                self.reloaded = True
+                inner.load_table(_events_table(rows=300))
             return count
 
         def materialize_filtered(self, name, source, predicate,
@@ -647,7 +656,7 @@ def test_mutation_between_plan_and_merge_is_not_cached():
         def execute(self, query):
             return inner.execute(query)
 
-    engine = InvalidateOnRowCount()
+    engine = ReloadOnRowCount()
     engine.load_table(_events_table())
     queries = [parse_query(sql) for sql in _SUITE[:3]]
     executor = ScanGroupExecutor(
