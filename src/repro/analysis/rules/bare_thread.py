@@ -16,8 +16,8 @@ construction of ``threading.Thread``/``Timer``/``Lock``/``RLock``/
 module or a ``from threading import …`` name) and of
 ``ThreadPoolExecutor``/``ProcessPoolExecutor``.
 
-Long-standing engine-internal locks (the SQLite replica registry, the
-LRU cache) carry inline ``# repro: allow(RA106) — why`` suppressions:
+Long-standing engine-internal locks (the SQLite writer, the LRU
+cache) carry inline ``# repro: allow(RA106) — why`` suppressions:
 they guard data structures, not parallelism, and the reasons are part
 of the code now.
 """

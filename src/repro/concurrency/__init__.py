@@ -45,9 +45,9 @@ for exactly one call, never across a wait on another thread; caches
 key every entry by *table generation* (read once, before any engine
 work), so a result computed on pre-reload data is never served after;
 concurrent identical work *single-flights* into one computation; and
-SQLite runs worker threads on *per-thread replica connections*
-snapshotted from the primary, invalidated by a generation counter and
-pinned while a task's temp relations are live.
+SQLite gives every thread its own *read-only connection* to one
+WAL-mode database file, so each statement reads the latest committed
+snapshot and a task's temp relations live on its own connection.
 """
 
 from repro.concurrency.executor import ScanGroupExecutor

@@ -57,21 +57,20 @@ Thread-safety contract (what PR 2 established, spelled out):
   cache the leader populated. Sharded groups skip the flight — their
   work is a task fan-out, not a single closure — and rely on the
   generation-keyed scan-group cache alone to absorb repeats.
-- **Generation keys.** Every scan-group cache lookup and store uses the
-  table generation read before the group's first engine call; a store
-  whose table was reloaded mid-compute is dropped, never cached (the
-  "lost invalidation" race the stress tests guard).
-- **Per-thread replicas.** SQLite executes worker-thread calls on
-  private replica connections snapshotted from the primary (see
-  :mod:`repro.engine.sqlite_engine`), so concurrent scans share no
-  SQLite-side state; a generation counter refreshes replicas after
-  base-table loads, and in-flight temps pin their replica until the
-  task finishes.
+- **Generation keys.** Every scan-group cache lookup and store, and the
+  single-flight key, use the table generation read once before the
+  group's first engine call; a store whose table was reloaded
+  mid-compute is dropped, never cached (the "lost invalidation" race
+  the stress tests guard).
+- **Per-thread connections.** SQLite runs each thread's calls on its
+  own read-only connection to one WAL-mode database (see
+  :mod:`repro.engine.sqlite_engine`), where a task's temp relations
+  live, untouched by a concurrent base-table load.
 - **Shared, leaf-only pools.** Parallel units run on the process's
   long-lived pool for ``policy.workers``
   (:func:`~repro.concurrency.pool.shared_worker_pool`): the executor
   owns no threads, so a per-call executor costs no thread start and
-  no replica snapshot once the pool is warm. Units are leaf engine
+  no new SQLite connection once the pool is warm. Units are leaf engine
   work only — none of them dispatches another batch — so a unit can
   never wait on a future queued behind it in the same pool.
 """
@@ -329,13 +328,17 @@ class ScanGroupExecutor(BatchExecutor):
         multiplan: bool | None,
         span,
     ) -> BatchStats:
+        epoch = self._group_epoch(group)
         if (
             self._group_flight is not None
             and self.group_cache is not None
             and group.signature is not None
         ):
+            # The generation is in the key: a call that starts after a
+            # reload never waits on a leader computing the old table.
             key = (
                 group.signature.table,
+                epoch,
                 group.signature.predicate_key,
                 tuple(sorted({m.sql for m in group.members})),
             )
@@ -346,7 +349,7 @@ class ScanGroupExecutor(BatchExecutor):
             # shared.
             start = time.perf_counter() if span is not None else 0.0
             stats, leader = self._group_flight.do(
-                key, lambda: self._run_one(group, results, multiplan)
+                key, lambda: self._run_one(group, results, multiplan, epoch)
             )
             if span is not None:
                 span.attrs["singleflight"] = (
@@ -358,14 +361,15 @@ class ScanGroupExecutor(BatchExecutor):
                     )
             if leader:
                 return stats
-            return self._run_one(group, results, multiplan)
-        return self._run_one(group, results, multiplan)
+            return self._run_one(group, results, multiplan, epoch)
+        return self._run_one(group, results, multiplan, epoch)
 
     def _run_one(
         self,
         group: ScanGroup,
         results: list[QueryResult | None],
-        multiplan: bool | None = None,
+        multiplan: bool | None,
+        epoch: int | None,
     ) -> BatchStats:
         # No lock is held here: engine safety is leaf-granular (the
         # _SlotGatedEngine wrapper / the engine's own thread-safety),
@@ -375,7 +379,7 @@ class ScanGroupExecutor(BatchExecutor):
         if group.signature is None:
             self._run_fallback(group, results, stats)
         else:
-            self._run_group(group, results, stats, multiplan=multiplan)
+            self._run_group(group, results, stats, epoch, multiplan)
         return stats
 
 

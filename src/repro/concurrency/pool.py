@@ -9,7 +9,7 @@ runs the exact sequential code path.
 ``WorkerPool`` for one worker count, created on first use and never
 shut down. Leaf engine work — a batch's scan-group and shard tasks, a
 sequential batch's per-query executions — runs there, so worker
-threads (and the SQLite replicas they hold) outlive the call that
+threads (and the SQLite connections they hold) outlive the call that
 started them. The rule that keeps it deadlock-free: **only leaf engine
 work is submitted to a shared pool.** A task that itself dispatches a
 batch (a ``refresh_many`` job, a harness grid cell) would block a

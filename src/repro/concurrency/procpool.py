@@ -19,8 +19,9 @@ ships sharded scan-group work to *worker processes* instead:
      accumulators do exact Python-object arithmetic, so a lossy float64
      view would change results beyond 2^53.
    - ``"file"`` (sqlite): a database snapshot written with the backup
-     API; workers restore it with ``from_snapshot`` (rowids preserved,
-     so rowid-window shard ranges address the same rows as the parent).
+     API; workers open it in place, read-only, with ``from_snapshot``
+     (rowids preserved, so rowid-window shard ranges address the same
+     rows as the parent).
 
 2. **Attach** — each worker attaches once per export id and caches the
    attachment; per task it slices ``[start:stop)`` zero-copy, restores
@@ -675,11 +676,11 @@ class _Attachment:
             self._columns = pickle.loads(bytes(seg.buf[: spec.size]))
             seg.close()
         elif spec.mode == "file":
-            from repro.engine.registry import create_engine
+            from repro.engine.registry import engine_factory
 
-            probe = create_engine(spec.engine)
-            restore = getattr(type(probe), "from_snapshot", None)
-            probe.close()
+            # Not an instance: that would make a database directory.
+            factory = engine_factory(spec.engine)
+            restore = getattr(factory, "from_snapshot", None)
             if restore is None:
                 raise ExecutionError(
                     f"engine {spec.engine!r} declares file-mode process "

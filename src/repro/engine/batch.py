@@ -368,16 +368,18 @@ class BatchExecutor:
         for group in groups:
             if group.signature is None:
                 self._run_fallback(group, results, stats)
-            elif tracer is not None:
-                with tracer.span(
-                    "scan_group",
-                    table=group.signature.table,
-                    group_key=group.signature.predicate_key,
-                    members=len(group.members),
-                ):
-                    self._run_group(group, results, stats)
-            else:
-                self._run_group(group, results, stats)
+                continue
+            epoch = self._group_epoch(group)
+            if tracer is None:
+                self._run_group(group, results, stats, epoch)
+                continue
+            with tracer.span(
+                "scan_group",
+                table=group.signature.table,
+                group_key=group.signature.predicate_key,
+                members=len(group.members),
+            ):
+                self._run_group(group, results, stats, epoch)
         return self._finish(results, stats)
 
     # -- internals ----------------------------------------------------------
@@ -435,21 +437,25 @@ class BatchExecutor:
             stats.fallbacks += 1
             stats.base_scans += 1
 
+    def _group_epoch(self, group: ScanGroup) -> int | None:
+        """The group's table generation, read before any engine work: a
+        store after a mid-group reload is then dropped."""
+        if self.group_cache is None or group.signature is None:
+            return None
+        return self.group_cache.epoch(group.signature.table)
+
     def _run_group(
         self,
         group: ScanGroup,
         results: list[QueryResult | None],
         stats: BatchStats,
+        epoch: int | None,
         multiplan: bool | None = None,
     ) -> None:
         signature = group.signature
         assert signature is not None
         pending = group.members
-        epoch = None
         if self.group_cache is not None:
-            # Read before any engine work: if the table is reloaded
-            # while this group computes, the store below is dropped.
-            epoch = self.group_cache.epoch(signature.table)
             pending = self._serve_cached(
                 signature, epoch, pending, results, stats
             )

@@ -37,15 +37,19 @@ def available_engines() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def create_engine(name: str) -> Engine:
-    """Instantiate an engine by registry name."""
+def engine_factory(name: str) -> Callable[[], Engine]:
+    """The factory registered under ``name`` (the class, for built-ins)."""
     try:
-        factory = _FACTORIES[name]
+        return _FACTORIES[name]
     except KeyError:
         raise ConfigError(
             f"unknown engine {name!r}; available: {available_engines()}"
         ) from None
-    return factory()
+
+
+def create_engine(name: str) -> Engine:
+    """Instantiate an engine by registry name."""
+    return engine_factory(name)()
 
 
 def register_engine(name: str, factory: Callable[[], Engine]) -> None:

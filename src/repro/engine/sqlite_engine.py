@@ -13,36 +13,41 @@ Dialect adaptations:
   are registered as SQLite user functions;
 - booleans are stored as integers (SQLite has no boolean storage class).
 
-Threading model: ``sqlite3`` connections default to single-thread
-ownership (``check_same_thread``), so the naive one-connection engine
-fails the moment a worker pool touches it. This engine instead keeps a
-**per-thread connection pool**: the creating thread owns the primary
-in-memory database; any other thread lazily receives its own replica
-connection, snapshotted from the primary with the SQLite backup API
-(~2 ms for benchmark-scale tables) and invalidated by a generation
-counter whenever a base table changes. Replicas are fully independent
-databases, so concurrent scans share no page cache or locks — the C
-library releases the GIL and scan groups genuinely parallelize
-(``parallel_scans = True``). Temporary shared-scan relations are
-created on the calling thread's own connection, which is exactly the
-connection the rest of that scan group's task uses.
+Storage and threading model: the tables live in one WAL-mode database
+file in a private temporary directory. One writer connection commits
+base-table loads, unloads and indexes under the engine lock; every
+thread, the creating one included, reads through its own read-only
+connection, opened on first use and kept. In WAL mode readers and the
+writer never block each other, and every statement reads the latest
+committed snapshot, so no read sees a half-written table (a transaction
+held open on a reader pins one snapshot across several statements).
+The C library releases the GIL while it scans, so scan groups on
+different threads genuinely parallelize (``parallel_scans = True``).
+Shared-scan temporaries are ``TEMP`` tables on the calling thread's
+connection: private to the scan-group task that makes them, and
+untouched by a concurrent base-table load.
 
 Worker threads come from the process's long-lived shared pools
-(:func:`repro.concurrency.pool.shared_worker_pool`), so a replica is
-snapshotted once per (engine, worker thread) and then serves every
-later batch on that thread. It lives until the engine closes or is
-collected, or until a base-table load bumps the generation (it then
-re-clones on its next use). Replicas keep no statement cache: nearly
-every statement they run names a unique temp relation, so cached
-statements would never be reused, only held.
+(:func:`repro.concurrency.pool.shared_worker_pool`), so a reader opens
+once per (engine, thread) and serves every later batch on that thread.
+It closes when the thread ends or when the engine closes or is
+collected. Readers keep no statement cache: most statements name a
+unique temp relation, so cached statements would be held, never
+reused. Nothing needs to survive a crash, so commits skip the fsync
+(``synchronous=OFF``); ``close()``, or a finalizer at collection or
+interpreter exit, closes every connection and removes the directory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import datetime as _dt
+import itertools
 import math
+import os
+import shutil
 import sqlite3
+import tempfile
 import threading
 import weakref
 
@@ -75,160 +80,144 @@ _REGISTERED_FUNCTIONS = (
     ("BIN", 2),
 )
 
+#: Reader settings. A commit empties every reader's page cache, so
+#: readers map the file (a checkpointed page is read in place) and keep
+#: a cache big enough to hold a benchmark-scale database. Temporaries
+#: journal in memory, as on an in-memory database (a journal file cost
+#: a shared scan ~15 %); ``temp_store`` stays at its default, because
+#: ``MEMORY`` made a GROUP BY's sorter ~1.4x slower.
+_READER_PRAGMAS = (
+    "PRAGMA mmap_size = 1073741824",
+    "PRAGMA cache_size = -65536",
+    "PRAGMA temp.journal_mode = MEMORY",
+)
+
 
 class SQLiteEngine(Engine):
-    """In-memory SQLite wrapper implementing the common engine interface."""
+    """SQLite wrapper implementing the common engine interface."""
 
     name = "sqlite"
     supports_indexes = True
     thread_safe = True
     parallel_scans = True
-    # Worker processes reopen a snapshot *file* (the backup API writes
-    # one per generation); shared-memory column exports would bypass
-    # SQLite's own storage and typing.
+    # Worker processes open a snapshot *file* in place (written with the
+    # backup API per table version); shared-memory column exports would
+    # bypass SQLite's own storage and typing.
     supports_process_shards = True
     process_shard_mode = "file"
 
     def __init__(self) -> None:
-        # The primary holds the authoritative database. It is created
-        # with cross-thread access allowed (the sqlite3 build here is
-        # SERIALIZED, threadsafety 3) so worker threads can snapshot it
-        # via the backup API; Python-side access is guarded by _lock.
-        self._primary = sqlite3.connect(":memory:", check_same_thread=False)
-        self._owner = threading.get_ident()
-        # repro: allow(RA106) — guards the primary connection and the
-        # per-thread replica registry; threads themselves come from the
-        # worker pool, never from this engine.
-        self._lock = threading.RLock()
-        #: Bumped on every base-table change; replicas older than this
-        #: re-snapshot before their next use.
-        self._generation = 0
-        #: Base table -> the generation of its last committed write.
-        self._versions: dict[str, int] = {}
-        self._local = threading.local()
-        self._replicas: list[sqlite3.Connection] = []
-        self._schemas: dict[str, Table] = {}
-        _register_functions(self._primary)
+        directory = tempfile.mkdtemp(prefix="repro-sqlite-")
+        path = os.path.join(directory, "tables.db")
+        # Base writes come from any thread, serialized by _lock.
+        writer = sqlite3.connect(path, check_same_thread=False)
+        # synchronous first: switching to WAL at the default level fsyncs.
+        writer.execute("PRAGMA synchronous = OFF")
+        writer.execute("PRAGMA journal_mode = WAL")
+        _register_functions(writer)
+        self._setup(f"file:{path}?mode=ro", writer, directory)
 
-    # -- connection pool ----------------------------------------------------
+    def _setup(self, uri: str, writer, directory) -> None:
+        self._uri = uri
+        self._writer = writer
+        self._dir = directory
+        # repro: allow(RA106) — serializes base-table writes on the one
+        # writer connection; threads come from the worker pool, never
+        # from this engine, and reads take no lock.
+        self._lock = threading.RLock()
+        #: Base table -> the stamp of its last committed write.
+        self._versions: dict[str, int] = {}
+        self._stamps = itertools.count(1)
+        self._local = threading.local()
+        self._readers: list[sqlite3.Connection] = []
+        self._schemas: dict[str, Table] = {}
+        self._finalizer = weakref.finalize(
+            self, _close_all, self._readers, writer, directory
+        )
+
+    # -- connections --------------------------------------------------------
 
     def _connection(self) -> sqlite3.Connection:
-        """The calling thread's connection (primary for the owner).
+        """The calling thread's read-only connection, opened on first use.
 
-        Non-owner threads get a private replica database snapshotted
-        from the primary; a stale replica (base table loaded since the
-        snapshot) is dropped and re-cloned. Per-thread replicas mean
-        concurrent scans never contend on SQLite-side locks.
-
-        The connection hangs off a thread-local token whose finalizer
-        closes it and drops it from the tracking list. The token dies
-        with the thread or with this engine's thread-local storage,
-        whichever goes first: the shared pools' threads live as long as
-        the process, so an engine that is collected without ``close``
-        still releases its replicas.
-
-        A replica holding live temp relations (a scan group in flight
-        on this thread) is *pinned*: a concurrent base-table load may
-        have bumped the generation, but re-cloning now would destroy
-        the temp mid-group. The group completes against its snapshot —
-        consistent results, and the caches drop the store because the
-        table's generation moved — and the replica refreshes on the
-        next use after the pins are gone.
+        It hangs off a thread-local token whose finalizer closes it and
+        drops it from ``_readers``. The token dies with the thread or
+        with this engine's thread-local storage, whichever goes first:
+        the shared pools' threads live as long as the process, so an
+        engine that is collected without ``close`` still releases its
+        readers.
         """
-        if threading.get_ident() == self._owner:
-            return self._primary
-        local = self._local
-        conn = getattr(local, "conn", None)
-        if conn is not None and (
-            local.generation == self._generation
-            or getattr(local, "pins", None)
-        ):
-            return conn
+        conn = getattr(self._local, "conn", None)
         if conn is not None:
-            local.reaper()  # close + untrack the stale replica now
-        replica = sqlite3.connect(
-            ":memory:", check_same_thread=False, cached_statements=0
+            return conn
+        conn = sqlite3.connect(
+            self._uri, uri=True, check_same_thread=False, cached_statements=0
         )
-        _register_functions(replica)
-        with self._lock:
-            self._primary.backup(replica)
-            local.generation = self._generation
-            self._replicas.append(replica)
-        local.conn = replica
+        for pragma in _READER_PRAGMAS:
+            conn.execute(pragma)
+        _register_functions(conn)
+        self._readers.append(conn)
         # Thread-local storage is the token's only reference, so the
-        # reaper fires when the thread ends or the engine is collected.
+        # finalizer fires when the thread ends or the engine is collected.
         token = _ThreadToken()
-        local.token = token
-        local.reaper = weakref.finalize(
-            token, _reap_replica, self._replicas, self._lock, replica
-        )
-        return replica
+        self._local.token = token
+        self._local.conn = conn
+        weakref.finalize(token, _close_reader, self._readers, conn)
+        return conn
 
-    def _write_connection(self, name: str) -> sqlite3.Connection:
-        """Where a write to relation ``name`` belongs.
+    @contextlib.contextmanager
+    def _writing(self, name: str):
+        """A write to relation ``name``: yields the connection and the
+        schema prefix it runs on, and commits on exit.
 
-        Shared-scan temporaries are private to the scan-group task that
-        materializes them, so they live on the calling thread's own
-        connection. Everything else is base data: it goes to the
-        primary, and the generation bump invalidates every replica.
-        Until :meth:`_publish` the table has no version, so nothing
-        computed mid-write is cached (nor is a table a write failed on).
+        Shared-scan temporaries are ``TEMP`` tables on the calling
+        thread's reader: private to the task that makes them, so no lock
+        is taken. Everything else is base data on the writer, under the
+        lock, in one transaction that readers see nothing of before its
+        commit. A base table has no version until then, so nothing
+        computed mid-write is cached (nor is a table a write failed on);
+        a passive checkpoint then moves the commit into the main file,
+        where readers map it.
         """
-        if name.startswith(TEMP_PREFIX):
-            return self._connection()
-        self._generation += 1
-        self._versions.pop(name, None)
-        return self._primary
-
-    def _publish(self, name: str) -> None:
-        """Give a base table its new version once its write is committed
-        (under the lock): a reader that sees it sees the new data."""
-        if not name.startswith(TEMP_PREFIX):
-            self._versions[name] = self._generation
-
-    def _pin_temp(self, name: str) -> None:
-        """Mark a temp as live on this thread's connection (no re-clone)."""
-        if not name.startswith(TEMP_PREFIX):
-            return
-        pins = getattr(self._local, "pins", None)
-        if pins is None:
-            pins = self._local.pins = set()
-        pins.add(name)
-
-    def _unpin_temp(self, name: str) -> None:
-        pins = getattr(self._local, "pins", None)
-        if pins:
-            pins.discard(name)
+        base = not name.startswith(TEMP_PREFIX)
+        if base and self._writer is None:
+            raise ExecutionError("a snapshot engine is read-only")
+        conn = self._writer if base else self._connection()
+        with self._lock if base else contextlib.nullcontext():
+            if base:
+                self._versions.pop(name, None)
+                conn.execute("BEGIN")
+            try:
+                yield conn, "main." if base else "temp."
+            except BaseException:
+                conn.rollback()
+                raise
+            conn.commit()
+            if base:
+                conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
+                if name in self._schemas:
+                    self._versions[name] = next(self._stamps)
 
     def load_table(self, table: Table) -> None:
-        with self._lock:
-            conn = self._write_connection(table.name)
-            cursor = conn.cursor()
-            cursor.execute(f'DROP TABLE IF EXISTS "{table.name}"')
-            columns_sql = ", ".join(
-                f'"{c.name}" {_SQLITE_TYPES[c.dtype]}' for c in table.schema
-            )
-            cursor.execute(f'CREATE TABLE "{table.name}" ({columns_sql})')
-            placeholders = ", ".join("?" for _ in table.schema)
-            columns = [
-                _sqlite_column(table.column(n)) for n in table.schema.names
-            ]
-            cursor.executemany(
-                f'INSERT INTO "{table.name}" VALUES ({placeholders})',
+        name = table.name
+        columns_sql = ", ".join(
+            f'"{c.name}" {_SQLITE_TYPES[c.dtype]}' for c in table.schema
+        )
+        placeholders = ", ".join("?" for _ in table.schema)
+        columns = [_sqlite_column(table.column(n)) for n in table.schema.names]
+        with self._writing(name) as (conn, schema):
+            conn.execute(f'DROP TABLE IF EXISTS {schema}"{name}"')
+            conn.execute(f'CREATE TABLE {schema}"{name}" ({columns_sql})')
+            conn.executemany(
+                f'INSERT INTO {schema}"{name}" VALUES ({placeholders})',
                 zip(*columns),
             )
-            conn.commit()
-            self._schemas[table.name] = table
-            self._pin_temp(table.name)
-            self._publish(table.name)
+            self._schemas[name] = table
 
     def unload_table(self, name: str) -> None:
-        with self._lock:
-            conn = self._write_connection(name)
-            conn.execute(f'DROP TABLE IF EXISTS "{name}"')
-            conn.commit()
+        with self._writing(name) as (conn, schema):
+            conn.execute(f'DROP TABLE IF EXISTS {schema}"{name}"')
             self._schemas.pop(name, None)
-            self._unpin_temp(name)
 
     def materialize_filtered(
         self, name, source: str, predicate, row_range=None
@@ -257,72 +246,62 @@ class SQLiteEngine(Engine):
         if predicate is not None:
             clauses.append(f"({format_expression(predicate)})")
         where_sql = " AND ".join(clauses) if clauses else "1"
-        with self._lock:
-            conn = self._write_connection(name)
-        try:
-            conn.execute(f'DROP TABLE IF EXISTS "{name}"')
-            conn.execute(
-                f'CREATE TABLE "{name}" AS '
-                f'SELECT * FROM "{source}" WHERE {where_sql}'
-            )
-        except sqlite3.Error as exc:
-            raise ExecutionError(
-                f"sqlite shared scan failed for {source!r}: {exc}"
-            ) from exc
-        conn.commit()
-        # Register the base table under the temp name so output values
-        # convert with the same schema (dates, booleans, ...).
-        with self._lock:
+        with self._writing(name) as (conn, schema):
+            try:
+                conn.execute(f'DROP TABLE IF EXISTS {schema}"{name}"')
+                conn.execute(
+                    f'CREATE TABLE {schema}"{name}" AS '
+                    f'SELECT * FROM "{source}" WHERE {where_sql}'
+                )
+            except sqlite3.Error as exc:
+                raise ExecutionError(
+                    f"sqlite shared scan failed for {source!r}: {exc}"
+                ) from exc
+            # Register the base table under the temp name so output
+            # values convert with the same schema (dates, booleans, ...).
             self._schemas[name] = base
-            self._pin_temp(name)
-            self._publish(name)
         return True
 
     def table_schema(self, name: str):
-        with self._lock:
-            table = self._schemas.get(name)
+        table = self._schemas.get(name)
         if table is None:
             return None
         return table.schema
 
     def table_version(self, name: str):
-        """The generation of ``name``'s last write; ``None`` for temps,
-        absent tables and mid-write. Lock-free: one dict read."""
+        """The stamp of ``name``'s last committed write; ``None`` for
+        temps, absent tables and mid-write. Lock-free: one dict read."""
         return self._versions.get(name)
 
     def snapshot_to(self, path) -> None:
-        """Write the primary database to ``path`` via the backup API.
+        """Write the database to ``path`` via the backup API.
 
-        The process-shard export calls this once per generation; worker
-        processes restore the file with :meth:`from_snapshot`. Runs
+        The process-shard export calls this once per table version;
+        worker processes open the file with :meth:`from_snapshot`. Runs
         under the engine lock, so the file is a consistent snapshot
-        even with concurrent loads.
+        even with concurrent loads, and it never changes afterwards.
         """
         dest = sqlite3.connect(str(path))
         try:
             with self._lock:
-                self._primary.backup(dest)
-            dest.commit()
+                self._writer.backup(dest)
         finally:
             dest.close()
 
     @classmethod
     def from_snapshot(cls, path, table: str, schema, num_rows: int):
-        """A fresh engine restored from a :meth:`snapshot_to` file.
+        """A read-only engine over a :meth:`snapshot_to` file.
 
         Worker-process side of ``process_shard_mode = "file"``: the
-        snapshot is copied into a new in-memory primary (UDFs and all),
-        and ``table`` is registered with just enough schema facts for
-        output conversion and row-range materialization — rowids were
-        preserved by the backup, so shard windows address the same rows
-        as on the parent.
+        file is opened in place as ``immutable`` (no copy, no directory,
+        no ``-wal``/``-shm`` file), and ``table`` is registered with
+        just enough schema facts for output conversion and row-range
+        materialization — rowids were preserved by the backup, so shard
+        windows address the same rows as on the parent. Temporaries
+        live in each connection's own temp schema.
         """
-        engine = cls()
-        src = sqlite3.connect(str(path))
-        try:
-            src.backup(engine._primary)
-        finally:
-            src.close()
+        engine = cls.__new__(cls)
+        engine._setup(f"file:{path}?immutable=1", None, None)
         engine._schemas[table] = _TableFacts(table, schema, num_rows)
         return engine
 
@@ -332,8 +311,7 @@ class SQLiteEngine(Engine):
             # the temp name (for output-type restoration), so its
             # num_rows would be the base table's count, not the temp's.
             return None
-        with self._lock:
-            table = self._schemas.get(name)
+        table = self._schemas.get(name)
         if table is None:
             return None
         return table.num_rows
@@ -342,17 +320,16 @@ class SQLiteEngine(Engine):
         if table not in self._schemas:
             raise ExecutionError(f"unknown table {table!r}")
         name = f"idx_{table}_{column}"
-        with self._lock:
-            self._generation += 1  # replicas re-clone to pick up the index
-            self._primary.execute(
+        # The write stamps a new version: an index can change row order.
+        with self._writing(table) as (conn, _schema):
+            conn.execute(
                 f'CREATE INDEX IF NOT EXISTS "{name}" ON "{table}" ("{column}")'
             )
-            self._primary.commit()
-            self._publish(table)  # an index can change result row order
 
     def execute(self, query: Query) -> ResultSet:
-        with self._lock:  # stable snapshot vs concurrent load_table
-            schemas = dict(self._schemas)
+        # Writers replace entries, never mutate them, and copying a
+        # str-keyed dict is atomic, so reads take no lock.
+        schemas = dict(self._schemas)
         if query.joins and any(
             isinstance(item.expr, Star) for item in query.select
         ):
@@ -365,23 +342,12 @@ class SQLiteEngine(Engine):
                 query, select=expand_star_items(db, query)
             )
         sql = format_query(query)
-        conn = self._connection()
-        # Replica reads are lock-free (private databases); reads on the
-        # shared primary serialize against base-table writes arriving
-        # from worker threads — DDL on a connection with an open read
-        # cursor raises 'database table is locked' otherwise.
-        guard = (
-            self._lock if conn is self._primary else contextlib.nullcontext()
-        )
-        with guard:
-            try:
-                cursor = conn.execute(sql)
-            except sqlite3.Error as exc:
-                raise ExecutionError(
-                    f"sqlite error for {sql!r}: {exc}"
-                ) from exc
-            fetched = cursor.fetchall()
-            columns = [d[0] for d in cursor.description]
+        try:
+            cursor = self._connection().execute(sql)
+        except sqlite3.Error as exc:
+            raise ExecutionError(f"sqlite error for {sql!r}: {exc}") from exc
+        fetched = cursor.fetchall()
+        columns = [d[0] for d in cursor.description]
         tables = [
             schemas[name]
             for name in query.table_names()
@@ -397,14 +363,7 @@ class SQLiteEngine(Engine):
         return ResultSet(columns, rows)
 
     def close(self) -> None:
-        with self._lock:
-            for replica in self._replicas:
-                try:
-                    replica.close()
-                except sqlite3.Error:  # pragma: no cover - best-effort
-                    pass
-            self._replicas.clear()
-            self._primary.close()
+        self._finalizer()
 
 
 class _TableFacts:
@@ -424,28 +383,33 @@ class _TableFacts:
         self.num_rows = num_rows
 
 
+
+
 class _ThreadToken:
     """Weakref-able marker living in one thread's local storage."""
 
     __slots__ = ("__weakref__",)
 
 
-def _reap_replica(replicas, lock, conn) -> None:
-    """Finalizer: close one replica and drop it from tracking.
+def _close_reader(readers, conn) -> None:
+    """Finalizer: close a dead thread's reader, even while the engine
+    lives (it holds no engine reference). Closing twice is a no-op."""
+    with contextlib.suppress(ValueError):
+        readers.remove(conn)
+    conn.close()
 
-    Module-level (no engine reference) so a dead thread's replica is
-    reclaimed even while the engine object stays alive. Idempotent with
-    ``close()``: double-closing a sqlite3 connection is a no-op.
-    """
-    with lock:
-        try:
-            replicas.remove(conn)
-        except ValueError:
-            pass
-    try:
+
+def _close_all(readers, writer, directory) -> None:
+    """Finalizer (``close()``, collection, interpreter exit): close
+    every connection, then remove the directory."""
+    # Iterate a copy: a dying thread's reaper may remove its reader now.
+    for conn in list(readers):
         conn.close()
-    except sqlite3.Error:  # pragma: no cover - close is best-effort
-        pass
+    readers.clear()
+    if writer is not None:
+        writer.close()
+    if directory is not None:
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 def _register_functions(conn: sqlite3.Connection) -> None:

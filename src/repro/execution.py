@@ -38,8 +38,9 @@ from repro.errors import ConfigError
 BACKENDS = ("threads", "processes")
 
 #: ``auto()`` never sizes the pool past this many workers — beyond it
-#: the GIL-bound stores stop scaling and SQLite replica snapshots cost
-#: more than the overlap buys at laptop scale.
+#: the GIL-bound stores stop scaling, and at laptop scale more SQLite
+#: readers (one connection and page cache per thread) cost more than
+#: the overlap buys.
 AUTO_MAX_WORKERS = 8
 
 #: ...and never below this many: threads overlap I/O and dispatch

@@ -165,16 +165,23 @@ class ServingApp:
         return dashboard
 
     def host_for(self, engine: str) -> EngineHost:
-        """The shared host for one engine kind, created on first use."""
+        """The shared host for one engine kind, created on first use.
+        Its tables load outside the app lock, so every caller waits for
+        them: an engine without its tables answers "no such table"."""
         with self._lock:
             host = self._hosts.get(engine)
-            if host is not None:
-                return host
-            tables = list(self._tables.values())
-            host = EngineHost(engine, self.config.cache_capacity)
-            self._hosts[engine] = host
-        for table in tables:
-            host.load_table(table)
+            created = host is None
+            if created:
+                tables = list(self._tables.values())
+                host = EngineHost(engine, self.config.cache_capacity)
+                self._hosts[engine] = host
+        if created:
+            try:
+                for table in tables:
+                    host.load_table(table)
+            finally:
+                host.loaded.set()
+        host.loaded.wait()
         return host
 
     # -- tenant-facing requests ----------------------------------------------

@@ -30,7 +30,7 @@ the load generator and the CI soak drive the server through it.
 Connections are kept alive: a client holds one connection per calling
 thread, and the server gives each connection one handler thread for
 its lifetime, so a request pays neither a TCP handshake nor a thread
-start (nor, on ``sqlite``, a fresh replica snapshot).
+start (nor, on ``sqlite``, a new reader connection).
 :meth:`DashboardServer.close` shuts every open connection, so no
 handler thread outlives the server.
 """

@@ -28,16 +28,17 @@ member positions in the shared results list. Cache stores carry the
 table generation read before any engine work, so a table reloaded
 mid-flight drops the store instead of caching vanished data.
 
-Known boundary vs unsharded execution: an unsharded group runs on one
-thread, so SQLite's pinned replica gives it a consistent snapshot even
-if the base table is reloaded mid-group. A *sharded* group's scan
-tasks run on several threads whose replicas may straddle a concurrent
-``load_table``, so that one batch can observe a mix of old and new
-table versions — returned to the caller, though never cached (the
-generation moved, so the store is dropped). The window is live:
-``serve-reload`` reloads beside reads (45 reloads, 47 stores dropped
-for a moved generation in one 15 s run). Closing it needs every shard
-task pinned to the generation the group read (ROADMAP item 10).
+Known boundary vs unsharded execution: on SQLite each statement reads
+the latest committed snapshot. A filtered unsharded group scans its
+base table once, into a temp relation, so every member reads that one
+snapshot even if the table is reloaded mid-group. A *sharded* group
+runs one statement per shard, and an unfiltered group one per fusion
+class; those statements can straddle a concurrent ``load_table``, so
+that one batch can observe a mix of old and new table versions —
+returned to the caller, though never cached (the generation moved, so
+the store is dropped). The window is live: ``serve-reload`` reloads
+beside reads. Closing it needs every statement of the group pinned to
+the generation the group read (ROADMAP item 10).
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ def test_sqlite_engine_usable_from_worker_threads():
 
 
 def test_sqlite_replicas_see_reloaded_data():
-    """A base-table load invalidates every thread's replica snapshot."""
+    """A base-table load is visible to every thread's reader."""
     engine = create_engine("sqlite")
     engine.load_table(_events_table(rows=200))
     count = parse_query("SELECT COUNT(*) AS n FROM events")
@@ -407,9 +407,9 @@ def test_sqlite_concurrent_same_group_batches_keep_types():
 
 
 def test_sqlite_owner_reads_race_worker_writes():
-    """Owner-thread queries on the primary must serialize against base
-    loads from worker threads — same connection, so an open read cursor
-    otherwise makes the DDL fail with 'database table is locked'."""
+    """Creating-thread queries race base loads from another thread:
+    every read sees a whole committed table, never a half-loaded one
+    nor 'database table is locked'."""
     engine = create_engine("sqlite")
     engine.load_table(_events_table(rows=300))
     query = parse_query(
@@ -432,7 +432,7 @@ def test_sqlite_owner_reads_race_worker_writes():
     try:
         deadline = time.monotonic() + 0.4
         while time.monotonic() < deadline:
-            engine.execute(query)  # owner thread, primary connection
+            engine.execute(query)  # the creating thread's reader
     except Exception as exc:  # pragma: no cover - failure path
         errors.append(exc)
     finally:
@@ -443,10 +443,10 @@ def test_sqlite_owner_reads_race_worker_writes():
 
 
 def test_cached_engine_reuses_persistent_pool():
-    """A long-lived CachedEngine must not pay thread + replica-snapshot
+    """A long-lived CachedEngine must not pay thread + reader-connection
     startup on every batch: every batch runs on the same threads."""
     sqlite = create_engine("sqlite")
-    recorder = _ThreadRecorder(sqlite)
+    recorder = _ThreadRecorder(sqlite, rendezvous=3)
     engine = CachedEngine(recorder)
     engine.load_table(_events_table())
     queries = [
@@ -458,12 +458,15 @@ def test_cached_engine_reuses_persistent_pool():
     ]
     engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
     assert recorder.threads
+    first_readers = list(sqlite._readers)
     for _ in range(5):
         engine.invalidate()  # force real engine work each round
         engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
     assert len(recorder.threads) <= 3  # same threads, not new ones
-    # Replicas are bounded by the pool's thread count, not call count.
-    assert len(sqlite._replicas) <= 3
+    # Readers are bounded by the pool's thread count, not call count,
+    # and the first batch's readers serve every later one.
+    assert len(sqlite._readers) <= 3
+    assert set(sqlite._readers) == set(first_readers)
     engine.close()
 
 
@@ -482,14 +485,18 @@ def test_benchmark_config_session_workers_do_not_enable_cell_overlap():
 
 
 def test_sqlite_inflight_temp_survives_concurrent_base_load():
-    """A base-table load must not invalidate a worker's replica while a
-    scan group's temp relation is still live on it — the group finishes
-    against its snapshot instead of crashing with 'no such table'."""
+    """A base-table load — of another table or of the group's own —
+    must not touch a scan group's live temp relation: the group
+    finishes against the rows it materialized instead of crashing with
+    'no such table'."""
     from repro.engine.batch import TEMP_PREFIX
     from repro.sql.parser import parse_expression
 
     engine = create_engine("sqlite")
     engine.load_table(_events_table())
+    open_rows = engine.execute(
+        parse_query("SELECT COUNT(*) AS n FROM events WHERE status = 'open'")
+    ).rows
     temp = f"{TEMP_PREFIX}events_test_pin"
     steps = {"materialized": threading.Event(), "loaded": threading.Event()}
     outcome: dict[str, object] = {}
@@ -511,21 +518,25 @@ def test_sqlite_inflight_temp_survives_concurrent_base_load():
     thread = threading.Thread(target=worker)
     thread.start()
     assert steps["materialized"].wait(timeout=5.0)
-    # Bump the generation mid-group: the worker's replica is pinned.
+    # Load mid-group: another table, then the group's own base table.
     engine.load_table(
         Table.from_columns("other", {"x": [1, 2, 3]})
     )
+    engine.load_table(_events_table(rows=50))
     steps["loaded"].set()
     thread.join(timeout=10.0)
     assert "error" not in outcome, outcome["error"]
     result = outcome["result"]
     assert isinstance(result, ResultSet) and result.rows[0][0] > 0
+    assert result.rows == open_rows  # the temp kept the pre-load rows
+    count = parse_query("SELECT COUNT(*) AS n FROM events")
+    assert engine.execute(count).rows == [(50,)]
     engine.close()
 
 
 def test_sqlite_replicas_reclaimed_with_pool_threads():
-    """Replicas are per worker thread, not per call: repeated batches
-    must not accumulate database copies until close()."""
+    """Readers are per worker thread, not per call: repeated batches
+    must not accumulate connections until close()."""
     import gc
 
     engine = create_engine("sqlite")
@@ -540,8 +551,8 @@ def test_sqlite_replicas_reclaimed_with_pool_threads():
     for _ in range(12):
         engine.execute_batch(list(queries), ExecutionPolicy(workers=3))
     gc.collect()
-    # Live replicas are bounded by the shared pool's thread count.
-    assert len(engine._replicas) <= 3, len(engine._replicas)
+    # Live readers are bounded by the shared pool's thread count.
+    assert len(engine._readers) <= 3, len(engine._readers)
     engine.close()
 
 
@@ -555,17 +566,23 @@ class _ThreadRecorder(EngineWrapper):
 
     Holds the :class:`threading.Thread` objects themselves, so a thread
     started by a later call counts as new even if the OS reuses an
-    earlier thread's ident.
+    earlier thread's ident. With ``rendezvous=n`` the first ``n``
+    worker threads to call in wait for each other once, so the first
+    batch provably runs on ``n`` threads.
     """
 
-    def __init__(self, inner: Engine) -> None:
+    def __init__(self, inner: Engine, rendezvous: int = 0) -> None:
         super().__init__(inner)
         self.threads: set[threading.Thread] = set()
+        self._barrier = threading.Barrier(rendezvous) if rendezvous else None
 
     def _note(self) -> None:
         thread = threading.current_thread()
         if thread.name.startswith("repro-worker-"):
+            first_call = thread not in self.threads
             self.threads.add(thread)
+            if first_call and self._barrier is not None:
+                self._barrier.wait(timeout=10.0)
 
     def execute(self, query):
         self._note()
@@ -589,6 +606,12 @@ def _priority_queries(priorities=(1, 2, 3, 4)):
     ]
 
 
+def _worker_readers(sqlite) -> list:
+    """The engine's reader connections other than the calling thread's."""
+    own = getattr(sqlite._local, "conn", None)
+    return [conn for conn in sqlite._readers if conn is not own]
+
+
 def test_shared_worker_pool_is_one_pool_per_count():
     assert shared_worker_pool(2) is shared_worker_pool(2)
     assert shared_worker_pool(3) is not shared_worker_pool(2)
@@ -597,19 +620,24 @@ def test_shared_worker_pool_is_one_pool_per_count():
 
 def test_bare_sqlite_batches_reuse_worker_threads_and_replicas():
     """Repeated sharded batches on a bare engine start no thread and
-    snapshot no replica after the first."""
+    open no reader connection after the first."""
     sqlite = create_engine("sqlite")
-    engine = _ThreadRecorder(sqlite)
+    engine = _ThreadRecorder(sqlite, rendezvous=2)
     engine.load_table(_events_table())
     queries = _priority_queries()
     sequential = [engine.execute(q) for q in queries]
     policy = ExecutionPolicy(workers=2, shards=2)
+    first_readers = None
     for _ in range(6):
         _assert_identical(
             sequential, engine.execute_batch(list(queries), policy), "reuse"
         )
-    assert 1 <= len(engine.threads) <= 2, engine.threads
-    assert len(sqlite._replicas) <= 2, len(sqlite._replicas)
+        if first_readers is None:
+            first_readers = list(sqlite._readers)
+    assert len(engine.threads) == 2, engine.threads
+    # The calling thread's reader aside, two worker threads' readers.
+    assert len(_worker_readers(sqlite)) <= 2, sqlite._readers
+    assert set(sqlite._readers) == set(first_readers)
     engine.close()
 
 
@@ -648,7 +676,9 @@ def test_sequential_replay_reuses_worker_threads():
         r.result for r in overlapped.results
     ]
     assert 1 <= len(engine.threads) <= 2, engine.threads
-    assert len(sqlite._replicas) <= 2, len(sqlite._replicas)
+    # The serial replay read on the calling thread; its reader aside,
+    # the worker threads hold at most two.
+    assert len(_worker_readers(sqlite)) <= 2, sqlite._readers
     engine.close()
     reference.close()
 
@@ -702,17 +732,114 @@ def test_cached_engine_later_batch_gets_its_own_worker_count():
 
 def test_sqlite_replicas_released_with_engine():
     """Shared threads outlive every engine, so an engine collected
-    without close() must still close its replicas."""
+    without close() must still close its reader connections."""
     import gc
 
     engine = create_engine("sqlite")
     engine.load_table(_events_table())
     engine.execute_batch(_priority_queries(), ExecutionPolicy(workers=2))
-    replicas = engine._replicas
-    assert replicas
+    readers = engine._readers
+    assert readers
     del engine
     gc.collect()
-    assert replicas == []
+    assert readers == []
+
+
+def _sqlite_directory(engine) -> str:
+    import os
+
+    directory = engine._dir
+    assert os.path.basename(directory).startswith("repro-sqlite-")
+    assert os.path.isdir(directory)
+    return directory
+
+
+def test_sqlite_close_removes_its_database_directory():
+    import os
+
+    engine = create_engine("sqlite")
+    directory = _sqlite_directory(engine)
+    engine.load_table(_events_table())
+    engine.execute_batch(_priority_queries(), ExecutionPolicy(workers=2))
+    engine.close()
+    assert not os.path.exists(directory)
+    engine.close()  # idempotent
+
+
+def test_sqlite_collection_removes_its_database_directory():
+    import gc
+    import os
+
+    engine = create_engine("sqlite")
+    directory = _sqlite_directory(engine)
+    engine.load_table(_events_table())
+    engine.execute_batch(_priority_queries(), ExecutionPolicy(workers=2))
+    del engine
+    gc.collect()
+    assert not os.path.exists(directory)
+
+
+def test_sqlite_exit_without_close_removes_its_database_directory():
+    """A process that exits without close() leaves no directory behind."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root)!r}]\n"
+        "from repro.engine import create_engine\n"
+        "from repro.execution import ExecutionPolicy\n"
+        "from tests.test_concurrency import _events_table, "
+        "_priority_queries\n"
+        "engine = create_engine('sqlite')\n"
+        "engine.load_table(_events_table())\n"
+        "engine.execute_batch(_priority_queries(), "
+        "ExecutionPolicy(workers=2))\n"
+        "print(engine._dir)\n"
+        "# exit WITHOUT close: the finalizer must remove the directory\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    directory = proc.stdout.strip()
+    assert os.path.basename(directory).startswith("repro-sqlite-"), directory
+    assert not os.path.exists(directory)
+
+
+def test_sqlite_open_read_transaction_does_not_block_a_base_load():
+    """A reader inside a transaction keeps its snapshot; a base-table
+    load commits beside it, and the reader sees the load once it ends
+    the transaction."""
+    engine = create_engine("sqlite")
+    engine.load_table(_events_table(rows=200))
+    count = "SELECT COUNT(*) FROM events"
+    reader = engine._connection()
+    reader.execute("BEGIN")
+    assert reader.execute(count).fetchall() == [(200,)]
+    loaded = threading.Event()
+
+    def load():
+        engine.load_table(_events_table(rows=50))
+        loaded.set()
+
+    thread = threading.Thread(target=load)
+    thread.start()
+    try:
+        assert loaded.wait(timeout=5.0), "load waited on the reader"
+        assert reader.execute(count).fetchall() == [(200,)]
+    finally:
+        reader.execute("COMMIT")
+        thread.join(timeout=10.0)
+    assert reader.execute(count).fetchall() == [(50,)]
+    assert engine.execute(parse_query(count)).rows == [(50,)]
+    engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +1017,63 @@ def test_flight_follower_after_invalidation_recomputes():
     assert follower_box["r"].rows == [(1,)]  # post-load caller sees v1
     # And the stale leader result must not have been cached:
     assert engine.execute(query).rows == [(1,)]
+    engine.close()
+
+
+def test_group_flight_follower_after_reload_skips_the_old_leader():
+    """A batch that starts after ``load_table`` returns must finish
+    while a scan-group flight leader computing the old generation is
+    still blocked: the generation is part of the flight key."""
+
+    class _Gate(EngineWrapper):
+        """The first execute computes, then blocks until released."""
+
+        def __init__(self, inner):
+            super().__init__(inner)
+            self.blocked = threading.Event()
+            self.release = threading.Event()
+            self._first = True
+
+        def execute(self, query):
+            result = super().execute(query)
+            if self._first:
+                self._first = False
+                self.blocked.set()
+                assert self.release.wait(timeout=10.0)
+            return result
+
+    gate = _Gate(create_engine("sqlite"))
+    engine = CachedEngine(gate)
+    engine.load_table(_version_table(0))
+    queries = [
+        parse_query(
+            "SELECT queue, MAX(version) AS v FROM events "
+            "WHERE version >= 0 GROUP BY queue"
+        ),
+        parse_query(
+            "SELECT COUNT(*) AS n, MAX(version) AS v FROM events "
+            "WHERE version >= 0"
+        ),
+    ]
+    boxes: dict[str, list] = {}
+
+    def batch(name):
+        boxes[name] = [r.result.rows for r in engine.execute_batch(queries)]
+
+    leader = threading.Thread(target=batch, args=("leader",))
+    leader.start()
+    try:
+        assert gate.blocked.wait(timeout=5.0)  # leader is mid-group
+        engine.load_table(_version_table(1))  # returns while it blocks
+        follower = threading.Thread(target=batch, args=("follower",))
+        follower.start()
+        follower.join(timeout=5.0)
+        assert not follower.is_alive(), "follower waited on the old leader"
+    finally:
+        gate.release.set()
+        leader.join(timeout=10.0)
+    assert boxes["follower"] == [[("a", 1), ("b", 1)], [(20, 1)]]
+    assert boxes["leader"] == [[("a", 0), ("b", 0)], [(20, 0)]]
     engine.close()
 
 

@@ -308,7 +308,7 @@ def test_sqlite_column_storage_unchanged_by_columnwise_load():
     )
     for name in names:
         sql = f'SELECT typeof("{name}"), quote("{name}") FROM "mixed"'
-        assert engine._primary.execute(sql).fetchall() == \
+        assert engine._connection().execute(sql).fetchall() == \
             expected.execute(sql).fetchall(), name
     expected.close()
     engine.close()

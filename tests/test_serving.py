@@ -249,6 +249,50 @@ class _JoinSignal(threading.Event):
         return super().wait(timeout)
 
 
+def test_requests_racing_host_creation_wait_for_its_tables(
+    spec, table, monkeypatch
+):
+    """A request that finds a host another request is still creating
+    gets it only once the host's tables are loaded: the engine takes no
+    lock for reads, so an early query would find no table at all."""
+    from repro.engine.registry import create_engine
+    from repro.serving import registry as registry_module
+
+    loading, release = threading.Event(), threading.Event()
+
+    def gated_engine(name):
+        engine = create_engine(name)
+        real_load = engine.load_table
+
+        def load_table(loaded):
+            loading.set()
+            assert release.wait(timeout=10.0)
+            real_load(loaded)
+
+        engine.load_table = load_table
+        return engine
+
+    monkeypatch.setattr(registry_module, "create_engine", gated_engine)
+    app = make_app(table, spec)
+    seen = {}
+
+    def racer():
+        host = app.host_for("sqlite")
+        seen["version"] = host.engine.table_version(table.name)
+
+    creator = threading.Thread(target=app.host_for, args=("sqlite",))
+    creator.start()
+    assert loading.wait(timeout=10.0)  # the creator is mid-load
+    late = threading.Thread(target=racer)
+    late.start()
+    late.join(timeout=0.5)  # a racer that does not wait is back by now
+    release.set()
+    creator.join(timeout=10.0)
+    late.join(timeout=10.0)
+    assert seen["version"] is not None
+    app.close()
+
+
 def test_refresh_after_reload_never_rides_a_flight_on_the_old_table(spec):
     """A refresh that starts after ``load_table`` returned must get the
     new table's rows, even while a co-tenant's identical refresh that

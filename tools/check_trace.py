@@ -14,9 +14,10 @@ temp file, and validates the whole chain:
 - shard spans nest under scan groups that nest under refresh spans —
   the cross-thread parentage the tracer exists to preserve;
 - every replayed query is attributed to exactly one tier;
-- a second replay on the same engine starts no ``repro-worker-*``
-  thread and snapshots no new SQLite replica (worker threads come from
-  the long-lived shared pool).
+- a second replay on the same engine, after one read on every pool
+  thread, starts no ``repro-worker-*`` thread and opens no new SQLite
+  reader connection (worker threads come from the long-lived shared
+  pool, and each keeps its reader).
 
 Run it the way CI does::
 
@@ -33,9 +34,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.concurrency import map_ordered, shared_worker_pool  # noqa: E402
 from repro.dashboard.spec import DashboardSpec  # noqa: E402
 from repro.engine import create_engine  # noqa: E402
 from repro.execution import ExecutionPolicy  # noqa: E402
+from repro.sql.parser import parse_query  # noqa: E402
 from repro.telemetry import (  # noqa: E402
     Telemetry,
     validate_spans,
@@ -89,8 +92,9 @@ def main() -> int:
 
     failures: list[str] = []
     # Thread reuse: replaying the session again on the same engine runs
-    # on the shared pool's existing threads and their replicas.
-    replicas = list(engine._replicas)
+    # on the shared pool's existing threads and their readers.
+    _read_on_every_thread(engine, table.name)
+    readers = list(engine._readers)
     started = _threads_started_during(
         lambda: session.replay(spec, table, engine, policy=POLICY)
     )
@@ -99,11 +103,11 @@ def main() -> int:
     )
     if workers:
         failures.append(f"second replay started worker threads {workers!r}")
-    known = {id(replica) for replica in replicas}  # all held alive above
-    added = [r for r in engine._replicas if id(r) not in known]
+    known = {id(reader) for reader in readers}  # all held alive above
+    added = [r for r in engine._readers if id(r) not in known]
     if added:
         failures.append(
-            f"second replay snapshotted {len(added)} new SQLite replicas"
+            f"second replay opened {len(added)} new SQLite readers"
         )
     engine.close()
 
@@ -183,6 +187,26 @@ def main() -> int:
         return 1
     print("check_trace: trace schema + nesting OK")
     return 0
+
+
+def _read_on_every_thread(engine, table: str) -> None:
+    """One read on this thread and on every thread of the replay's pool.
+
+    The first replay need not run work on every pool thread (the
+    scheduler can leave one idle throughout), and that thread's first
+    read in the second replay would open its reader then. A barrier
+    holds each task until all have started, so no thread runs two.
+    """
+    query = parse_query(f'SELECT COUNT(*) AS n FROM "{table}"')
+    barrier = threading.Barrier(POLICY.workers)
+
+    def read(_index: int) -> None:
+        barrier.wait(timeout=30.0)
+        engine.execute(query)
+
+    map_ordered(shared_worker_pool(POLICY.workers), read,
+                range(POLICY.workers))
+    engine.execute(query)
 
 
 def _threads_started_during(fn) -> list[threading.Thread]:
