@@ -21,6 +21,7 @@ connection, opened on first use and kept. In WAL mode readers and the
 writer never block each other, and every statement reads the latest
 committed snapshot, so no read sees a half-written table (a transaction
 held open on a reader pins one snapshot across several statements).
+A table's schema, row count and version move only after its commit.
 The C library releases the GIL while it scans, so scan groups on
 different threads genuinely parallelize (``parallel_scans = True``).
 Shared-scan temporaries are ``TEMP`` tables on the calling thread's
@@ -49,6 +50,7 @@ import shutil
 import sqlite3
 import tempfile
 import threading
+import urllib.parse
 import weakref
 
 from repro.engine.batch import TEMP_PREFIX
@@ -93,6 +95,11 @@ _READER_PRAGMAS = (
 )
 
 
+#: :meth:`SQLiteEngine._writing`'s default: the write leaves the
+#: relation's registered :class:`Table` as it is (an index).
+_KEEP = object()
+
+
 class SQLiteEngine(Engine):
     """SQLite wrapper implementing the common engine interface."""
 
@@ -115,7 +122,7 @@ class SQLiteEngine(Engine):
         writer.execute("PRAGMA synchronous = OFF")
         writer.execute("PRAGMA journal_mode = WAL")
         _register_functions(writer)
-        self._setup(f"file:{path}?mode=ro", writer, directory)
+        self._setup(_file_uri(path, "mode=ro"), writer, directory)
 
     def _setup(self, uri: str, writer, directory) -> None:
         self._uri = uri
@@ -166,7 +173,7 @@ class SQLiteEngine(Engine):
         return conn
 
     @contextlib.contextmanager
-    def _writing(self, name: str):
+    def _writing(self, name: str, table=_KEEP):
         """A write to relation ``name``: yields the connection and the
         schema prefix it runs on, and commits on exit.
 
@@ -174,10 +181,11 @@ class SQLiteEngine(Engine):
         thread's reader: private to the task that makes them, so no lock
         is taken. Everything else is base data on the writer, under the
         lock, in one transaction that readers see nothing of before its
-        commit. A base table has no version until then, so nothing
-        computed mid-write is cached (nor is a table a write failed on);
-        a passive checkpoint then moves the commit into the main file,
-        where readers map it.
+        commit. Only then is ``table`` registered (``None`` drops it),
+        so no reader pairs a new row count with the old rows, and the
+        version stamped: nothing computed mid-write is cached (nor is a
+        table a write failed on). A passive checkpoint moves the commit
+        into the main file, where readers map it.
         """
         base = not name.startswith(TEMP_PREFIX)
         if base and self._writer is None:
@@ -193,6 +201,10 @@ class SQLiteEngine(Engine):
                 conn.rollback()
                 raise
             conn.commit()
+            if table is None:
+                self._schemas.pop(name, None)
+            elif table is not _KEEP:
+                self._schemas[name] = table
             if base:
                 conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
                 if name in self._schemas:
@@ -205,19 +217,17 @@ class SQLiteEngine(Engine):
         )
         placeholders = ", ".join("?" for _ in table.schema)
         columns = [_sqlite_column(table.column(n)) for n in table.schema.names]
-        with self._writing(name) as (conn, schema):
+        with self._writing(name, table) as (conn, schema):
             conn.execute(f'DROP TABLE IF EXISTS {schema}"{name}"')
             conn.execute(f'CREATE TABLE {schema}"{name}" ({columns_sql})')
             conn.executemany(
                 f'INSERT INTO {schema}"{name}" VALUES ({placeholders})',
                 zip(*columns),
             )
-            self._schemas[name] = table
 
     def unload_table(self, name: str) -> None:
-        with self._writing(name) as (conn, schema):
+        with self._writing(name, None) as (conn, schema):
             conn.execute(f'DROP TABLE IF EXISTS {schema}"{name}"')
-            self._schemas.pop(name, None)
 
     def materialize_filtered(
         self, name, source: str, predicate, row_range=None
@@ -246,7 +256,9 @@ class SQLiteEngine(Engine):
         if predicate is not None:
             clauses.append(f"({format_expression(predicate)})")
         where_sql = " AND ".join(clauses) if clauses else "1"
-        with self._writing(name) as (conn, schema):
+        # The base table is registered under the temp name, so output
+        # values convert with the same schema (dates, booleans, ...).
+        with self._writing(name, base) as (conn, schema):
             try:
                 conn.execute(f'DROP TABLE IF EXISTS {schema}"{name}"')
                 conn.execute(
@@ -257,9 +269,6 @@ class SQLiteEngine(Engine):
                 raise ExecutionError(
                     f"sqlite shared scan failed for {source!r}: {exc}"
                 ) from exc
-            # Register the base table under the temp name so output
-            # values convert with the same schema (dates, booleans, ...).
-            self._schemas[name] = base
         return True
 
     def table_schema(self, name: str):
@@ -301,7 +310,7 @@ class SQLiteEngine(Engine):
         live in each connection's own temp schema.
         """
         engine = cls.__new__(cls)
-        engine._setup(f"file:{path}?immutable=1", None, None)
+        engine._setup(_file_uri(path, "immutable=1"), None, None)
         engine._schemas[table] = _TableFacts(table, schema, num_rows)
         return engine
 
@@ -327,8 +336,8 @@ class SQLiteEngine(Engine):
             )
 
     def execute(self, query: Query) -> ResultSet:
-        # Writers replace entries, never mutate them, and copying a
-        # str-keyed dict is atomic, so reads take no lock.
+        # Writers replace entries after their commit, never mutate them,
+        # and copying a str-keyed dict is atomic, so reads take no lock.
         schemas = dict(self._schemas)
         if query.joins and any(
             isinstance(item.expr, Star) for item in query.select
@@ -366,6 +375,12 @@ class SQLiteEngine(Engine):
         self._finalizer()
 
 
+def _file_uri(path, query: str) -> str:
+    """A SQLite ``file:`` URI for ``path``: percent-encoded, so a ``#``,
+    ``?`` or ``%`` in a directory or table name stays part of the path."""
+    return f"file:{urllib.parse.quote(os.fspath(path))}?{query}"
+
+
 class _TableFacts:
     """The slice of a :class:`Table` the SQLite wrapper actually reads.
 
@@ -381,8 +396,6 @@ class _TableFacts:
         self.name = name
         self.schema = schema
         self.num_rows = num_rows
-
-
 
 
 class _ThreadToken:

@@ -166,22 +166,16 @@ class ServingApp:
 
     def host_for(self, engine: str) -> EngineHost:
         """The shared host for one engine kind, created on first use.
-        Its tables load outside the app lock, so every caller waits for
-        them: an engine without its tables answers "no such table"."""
+        A new host loads the app's tables under the app lock, so no
+        caller gets it without them and a concurrent :meth:`load_table`
+        lands after them."""
         with self._lock:
             host = self._hosts.get(engine)
-            created = host is None
-            if created:
-                tables = list(self._tables.values())
+            if host is None:
                 host = EngineHost(engine, self.config.cache_capacity)
-                self._hosts[engine] = host
-        if created:
-            try:
-                for table in tables:
+                for table in self._tables.values():
                     host.load_table(table)
-            finally:
-                host.loaded.set()
-        host.loaded.wait()
+                self._hosts[engine] = host
         return host
 
     # -- tenant-facing requests ----------------------------------------------

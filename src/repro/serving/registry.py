@@ -56,8 +56,6 @@ class EngineHost:
         self._lock = threading.Lock()
         self._refs = 0
         self._tables: dict[str, Table] = {}
-        #: Set once the app has loaded the host's initial tables.
-        self.loaded = threading.Event()
 
     # -- tables --------------------------------------------------------------
 

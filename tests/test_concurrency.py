@@ -842,6 +842,58 @@ def test_sqlite_open_read_transaction_does_not_block_a_base_load():
     engine.close()
 
 
+class _GatedWriter:
+    """A writer connection whose commit waits for ``release`` after
+    setting ``entered``: the write is done, but not yet visible."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def commit(self):
+        self.entered.set()
+        assert self.release.wait(timeout=10.0)
+        self._conn.commit()
+
+
+@pytest.mark.parametrize("write", ["reload", "unload"])
+def test_sqlite_metadata_moves_only_when_the_write_commits(write):
+    """While a reload or an unload waits to commit, readers still see
+    the committed table: its rows, its row count and its
+    schema. A row count from the new table beside the old rows would
+    size shard ranges wrongly."""
+    engine = create_engine("sqlite")
+    old = _events_table(rows=200)
+    engine.load_table(old)
+    gate = engine._writer = _GatedWriter(engine._writer)
+    if write == "reload":
+        target, args = engine.load_table, (_events_table(rows=50),)
+    else:
+        target, args = engine.unload_table, ("events",)
+    thread = threading.Thread(target=target, args=args)
+    thread.start()
+    try:
+        assert gate.entered.wait(timeout=10.0)
+        assert engine.table_row_count("events") == 200
+        assert engine.table_schema("events") is old.schema
+        assert engine.table_version("events") is None  # mid-write
+        count = parse_query("SELECT COUNT(*) AS n FROM events")
+        assert engine.execute(count).rows == [(200,)]
+    finally:
+        gate.release.set()
+        thread.join(timeout=10.0)
+    if write == "reload":
+        assert engine.table_row_count("events") == 50
+        assert engine.table_version("events") is not None
+    else:
+        assert engine.table_schema("events") is None
+        assert engine.table_row_count("events") is None
+    engine.close()
+
+
 # ---------------------------------------------------------------------------
 # CachedEngine under fire
 # ---------------------------------------------------------------------------

@@ -464,6 +464,36 @@ def test_sqlite_reload_of_one_table_keeps_the_others_export():
         engine.close()
 
 
+def test_sqlite_process_shards_under_a_path_with_uri_characters(
+    tmp_path, monkeypatch
+):
+    """The engine's database and the worker's export open through
+    ``file:`` URIs; a ``#``, ``?`` or ``%41`` in the temp directory must
+    stay part of the path instead of ending it or decoding to ``A``."""
+    import tempfile
+
+    odd = tmp_path / "a#b?c%41"
+    odd.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(odd))
+    engine = create_engine("sqlite")
+    engine.load_table(make_calls_table())
+    assert engine._dir.startswith(str(odd))
+    pool = ProcessShardPool(workers=2)
+    policy = ExecutionPolicy(workers=2, shards=2, backend="processes")
+    try:
+        batch = ScanGroupExecutor(engine, policy, proc_pool=pool).run(
+            _queries()
+        )
+        assert batch.stats.proc_shard_scans > 0
+        serial = engine.execute_batch(_queries(), ExecutionPolicy.serial())
+        assert [(t.result.columns, t.result.rows) for t in batch.results] == [
+            (t.result.columns, t.result.rows) for t in serial
+        ]
+    finally:
+        pool.shutdown()
+        engine.close()
+
+
 def test_retired_export_with_in_flight_tasks_unlinks_after_the_last():
     engine = create_engine("vectorstore")
     engine.load_table(make_calls_table())

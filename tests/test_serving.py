@@ -293,6 +293,47 @@ def test_requests_racing_host_creation_wait_for_its_tables(
     app.close()
 
 
+def test_reload_racing_host_creation_leaves_the_host_on_the_new_table(
+    spec, table, monkeypatch
+):
+    """A ``load_table`` that lands while a new host is still loading the
+    app's tables must not be overwritten by that older copy."""
+    from repro.engine.registry import create_engine
+    from repro.serving import registry as registry_module
+
+    loading, release = threading.Event(), threading.Event()
+
+    def gated_engine(name):
+        engine = create_engine(name)
+        real_load = engine.load_table
+
+        def load_table(loaded):
+            if not loading.is_set():  # only the creator's first load
+                loading.set()
+                assert release.wait(timeout=10.0)
+            real_load(loaded)
+
+        engine.load_table = load_table
+        return engine
+
+    monkeypatch.setattr(registry_module, "create_engine", gated_engine)
+    app = make_app(table, spec)
+    new = grown(table)
+    creator = threading.Thread(target=app.host_for, args=("sqlite",))
+    creator.start()
+    assert loading.wait(timeout=10.0)  # the creator holds the old table
+    reloader = threading.Thread(target=app.load_table, args=(new,))
+    reloader.start()
+    reloader.join(timeout=0.5)  # an unordered reload has landed by now
+    release.set()
+    creator.join(timeout=10.0)
+    reloader.join(timeout=10.0)
+    host = app.host_for("sqlite")
+    assert host.table(table.name) is new
+    assert host.engine.table_row_count(table.name) == new.num_rows
+    app.close()
+
+
 def test_refresh_after_reload_never_rides_a_flight_on_the_old_table(spec):
     """A refresh that starts after ``load_table`` returned must get the
     new table's rows, even while a co-tenant's identical refresh that
